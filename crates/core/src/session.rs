@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use teco_cxl::{
     audit_all, line_checksum, merged_reference, Agent, Aggregator, AggregatorSnapshot, AuditError,
-    CoherenceFabric, CoherenceSnapshot, CxlFence, CxlLink, CxlLinkSnapshot, CxlPacket, DbaRegister,
+    CoherenceEngine, CoherenceSnapshot, CxlFence, CxlLink, CxlLinkSnapshot, CxlPacket, DbaRegister,
     Direction, FaultStats, FenceDeadline, FenceStats, FenceTimeout, GiantCache, GiantCacheError,
     GiantCacheSnapshot, LinkError, MediaRas, MediaRasSnapshot, Opcode, ProtocolMode, RasStats,
 };
@@ -140,8 +140,8 @@ pub struct TecoSession {
     /// Accelerator memory mapped into the coherence domain (owns the
     /// Disaggregator).
     giant_cache: GiantCache,
-    /// The MESI(+update) engine, behind the serial-or-sharded fabric.
-    coherence: CoherenceFabric,
+    /// The MESI(+update) engine.
+    coherence: CoherenceEngine,
     /// The physical link.
     link: CxlLink,
     /// CXLFENCE bookkeeping.
@@ -191,7 +191,7 @@ impl TecoSession {
         Ok(TecoSession {
             aggregator: Aggregator::new(),
             giant_cache,
-            coherence: CoherenceFabric::new(cfg.protocol),
+            coherence: CoherenceEngine::new(cfg.protocol),
             link: CxlLink::new(cfg.cxl),
             fence: CxlFence::new(),
             dba_active: false,
@@ -229,21 +229,9 @@ impl TecoSession {
     pub fn giant_cache(&self) -> &GiantCache {
         &self.giant_cache
     }
-    /// The coherence fabric (serial engine or region shards).
-    pub fn coherence(&self) -> &CoherenceFabric {
+    /// The coherence engine.
+    pub fn coherence(&self) -> &CoherenceEngine {
         &self.coherence
-    }
-    /// Coherence worker shards (1 = the serial engine, the default).
-    pub fn coherence_workers(&self) -> usize {
-        self.coherence.workers()
-    }
-    /// Re-shard the coherence engine across `workers` region shards (1
-    /// restores the serial engine). Observable behavior — packets, counts,
-    /// traffic, snapshots — is byte-identical at any worker count; only
-    /// bulk-push wall clock changes. A runtime knob, deliberately not part
-    /// of [`TecoConfig`] or the checkpoint image.
-    pub fn set_coherence_workers(&mut self, workers: usize) {
-        self.coherence.set_workers(workers);
     }
     /// The link.
     pub fn link(&self) -> &CxlLink {
@@ -464,12 +452,10 @@ impl TecoSession {
         let latency = if aggregated { self.cfg.cxl.aggregator_latency } else { SimTime::ZERO };
         let mut iv = Interval::new(now, now);
         // One span lookup covers the whole run when the region is
-        // registered; the whole run then hits the coherence fabric in one
-        // call — the serial engine loops the dense slots in order, a
-        // sharded fabric scatters them to region shards and merges the
-        // outcome in (time, seq) order. The link is charged per line
-        // afterwards; link state is independent of coherence state, so
-        // timing is identical to the interleaved per-line ordering.
+        // registered, and the engine then walks the run's dense slots in
+        // order. The link is charged per line afterwards; link state is
+        // independent of coherence state, so timing is identical to the
+        // interleaved per-line ordering.
         let run = self.coherence.resolve_run(base, n);
         let pushed = match run {
             Some(start) => self.coherence.write_run_accounted(Agent::Cpu, start, n, per),
@@ -791,13 +777,8 @@ impl TecoSession {
     pub fn run_audit(&self) -> Result<(), SessionError> {
         match &self.shadow {
             None => Ok(()),
-            Some(shadow) => audit_all(
-                &self.coherence.serial_equivalent(),
-                &self.giant_cache,
-                &self.link,
-                shadow,
-            )
-            .map_err(SessionError::Audit),
+            Some(shadow) => audit_all(&self.coherence, &self.giant_cache, &self.link, shadow)
+                .map_err(SessionError::Audit),
         }
     }
 
@@ -945,7 +926,7 @@ impl TecoSession {
             cfg: s.cfg.clone(),
             aggregator: Aggregator::restore(&s.aggregator),
             giant_cache: GiantCache::restore(&s.giant_cache),
-            coherence: CoherenceFabric::restore(&s.coherence),
+            coherence: CoherenceEngine::restore(&s.coherence),
             link: CxlLink::restore(&s.link),
             fence: CxlFence::from_stats(s.fence),
             dba_active: s.dba_active,
@@ -1179,8 +1160,8 @@ mod tests {
             assert_eq!(iv_a.unwrap(), iv_b);
             assert_eq!(a.stats().param_lines, b.stats().param_lines);
             assert_eq!(a.stats().bytes_to_device, b.stats().bytes_to_device);
-            assert_eq!(a.coherence().to_device(), b.coherence().to_device());
-            assert_eq!(a.coherence().to_host(), b.coherence().to_host());
+            assert_eq!(a.coherence().to_device, b.coherence().to_device);
+            assert_eq!(a.coherence().to_host, b.coherence().to_host);
             assert_eq!(a.link().volume(Direction::ToDevice), b.link().volume(Direction::ToDevice));
             for i in 0..8u64 {
                 assert_eq!(

@@ -402,6 +402,24 @@ impl CoherenceEngine {
         }
     }
 
+    /// The bulk path: one [`CoherenceEngine::write_accounted_at`] per line
+    /// of an aligned dense run `[dense_start, dense_start + n)`, in order.
+    /// Returns whether every line pushed a `FlushData` (always, in update
+    /// mode).
+    pub fn write_run_accounted(
+        &mut self,
+        writer: Agent,
+        dense_start: usize,
+        n: usize,
+        payload_len: usize,
+    ) -> bool {
+        let mut all = true;
+        for k in 0..n {
+            all &= self.write_accounted_at(writer, LineSlot::Dense(dense_start + k), payload_len);
+        }
+        all
+    }
+
     /// A load by `reader` of a giant-cache-domain line. In the update
     /// protocol this is a local hit (the data was pushed at write time). In
     /// the invalidation protocol a read of an invalidated copy triggers the
@@ -806,6 +824,29 @@ mod tests {
     }
 
     #[test]
+    fn write_run_matches_per_line_writes() {
+        // A run starting mid-chunk and crossing into the next slab chunk
+        // must land on the same snapshot as the same lines written one at
+        // a time.
+        let n = 5330;
+        let first = (teco_mem::CHUNK_LINES - 1000) as u64;
+        let bytes = (first + n as u64) * LINE_BYTES as u64;
+        for mode in [ProtocolMode::Update, ProtocolMode::Invalidation] {
+            let mut run = CoherenceEngine::new(mode);
+            run.register_region(Addr(0), bytes);
+            let mut one = run.clone();
+            let start = run.resolve_run(Addr(first * LINE_BYTES as u64), n).unwrap();
+            let pushed = run.write_run_accounted(Agent::Cpu, start, n, 32);
+            assert_eq!(pushed, mode == ProtocolMode::Update);
+            for k in 0..n {
+                one.write_accounted_at(Agent::Cpu, LineSlot::Dense(start + k), 32);
+            }
+            assert_eq!(run.snapshot(), one.snapshot(), "{mode:?}");
+            assert_eq!(run.tracked_lines(), n);
+        }
+    }
+
+    #[test]
     fn poisoned_data_is_refused_admission() {
         let mut eng = CoherenceEngine::new(ProtocolMode::Update);
         let clean = CxlPacket::data(Opcode::FlushData, A, vec![0u8; 64], false);
@@ -814,6 +855,7 @@ mod tests {
         assert!(!eng.admit_data(&bad));
         assert!(!eng.admit_data(&bad));
         assert_eq!(eng.poisoned_rejects(), 2);
+        assert_eq!(eng.snapshot().poisoned_rejects, 2, "the count is checkpointed");
         // Admission checks never perturb coherence state or traffic.
         assert_eq!(eng.tracked_lines(), 0);
         assert_eq!(eng.to_device, TrafficStats::default());

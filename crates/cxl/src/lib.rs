@@ -27,10 +27,6 @@
 //! - [`arbiter`]: the shared host-DRAM budget arbitrated round-robin across
 //!   the devices of a multi-accelerator cluster, with update-mode broadcast
 //!   fan-out accounting;
-//! - [`shard`]: the region-sharded coherence fabric — the engine + snoop
-//!   filter split block-cyclically across worker shards with a
-//!   deterministic `(time, seq)` merge, snapshot-byte-identical to the
-//!   serial engine;
 //! - [`collective`]: pool-staged inter-host collectives (reduce-scatter /
 //!   all-gather / fused all-reduce through the shared pool, one write +
 //!   N−1 reads) and the NCCL-style ring all-reduce baseline they are
@@ -52,7 +48,6 @@ pub mod link;
 pub mod packet;
 pub mod ras;
 pub mod refmaps;
-pub mod shard;
 pub mod snoop;
 
 pub use arbiter::{HostAccount, HostLinkArbiter, HostLinkArbiterSnapshot};
@@ -60,6 +55,10 @@ pub use audit::{
     audit_all, audit_cache, audit_cache_coherence, audit_coherence, audit_link, audit_shadow,
     AuditError,
 };
+/// The engine under its former session-facing name, kept so the
+/// benchmark's standalone coherence replay (`perfbench/src/replay.rs`)
+/// keeps building against the one serial engine.
+pub use coherence::CoherenceEngine as CoherenceFabric;
 pub use coherence::{
     Agent, CoherenceEngine, CoherenceSnapshot, LineState, MesiState, ProtocolMode, TrafficStats,
 };
@@ -91,7 +90,6 @@ pub use link::{CxlLink, CxlLinkSnapshot, Direction, LinkError, TransferOutcome};
 pub use packet::{wire_bytes_for_lines, CxlPacket, Opcode, HEADER_BYTES, MAX_PAYLOAD_BYTES};
 pub use ras::{MediaRas, MediaRasSnapshot, RasConfig, RasStats};
 pub use refmaps::{HashCoherenceEngine, HashGiantCache, HashSnoopFilter};
-pub use shard::{CoherenceFabric, ShardedCoherence, PARALLEL_BATCH_LINES, SHARD_BLOCK_LINES};
 pub use snoop::{
     full_directory_bytes, SnoopFilter, SnoopFilterSnapshot, SnoopStats, BYTES_PER_ENTRY,
 };

@@ -14,6 +14,7 @@ BINS=(
   ablation_cpu_speed baselines_comparison autotune_act_steps
   trace_replay_validation cost_savings fault_sweep scaling_sweep
   datapath_sweep churn_sweep collective_sweep fabric_chaos_sweep
+  placement_sweep soak_resume
   generate_report
 )
 
