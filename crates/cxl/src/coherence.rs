@@ -855,11 +855,28 @@ mod tests {
         assert!(!eng.admit_data(&bad));
         assert!(!eng.admit_data(&bad));
         assert_eq!(eng.poisoned_rejects(), 2);
-        assert_eq!(eng.snapshot().poisoned_rejects, 2, "the count is checkpointed");
         // Admission checks never perturb coherence state or traffic.
         assert_eq!(eng.tracked_lines(), 0);
         assert_eq!(eng.to_device, TrafficStats::default());
         assert_eq!(eng.to_host, TrafficStats::default());
+    }
+
+    #[test]
+    fn poison_containment_counts_globally() {
+        // The rejection count covers every region and survives a checkpoint.
+        let mut eng = CoherenceEngine::new(ProtocolMode::Update);
+        eng.register_region(Addr(0), 64 * LINE_BYTES as u64);
+        let bad =
+            CxlPacket::data(Opcode::FlushData, Addr(0), vec![0u8; 64], false).with_poison(true);
+        let far = CxlPacket::data(Opcode::FlushData, Addr(1 << 40), vec![0u8; 64], false)
+            .with_poison(true);
+        assert!(!eng.admit_data(&bad));
+        assert!(!eng.admit_data(&far));
+        assert!(eng.admit_data(&CxlPacket::data(Opcode::FlushData, Addr(0), vec![0u8; 64], false)));
+        assert_eq!(eng.poisoned_rejects(), 2);
+        assert_eq!(eng.snapshot().poisoned_rejects, 2);
+        let back = CoherenceEngine::restore(&eng.snapshot());
+        assert_eq!(back.poisoned_rejects(), 2);
     }
 
     #[test]
