@@ -33,29 +33,23 @@ pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
 }
 
-/// Write an experiment's rows as JSON under `bench_results/<name>.json`.
-/// Returns the path written (or None if serialization/IO failed, which is
-/// reported but non-fatal: the printed table is the primary output).
-pub fn dump_json<T: Serialize>(name: &str, value: &T) -> Option<PathBuf> {
-    let dir = PathBuf::from("bench_results");
-    if fs::create_dir_all(&dir).is_err() {
-        eprintln!("warning: cannot create bench_results/");
-        return None;
+/// Write an experiment's rows as JSON under `bench_results/<name>.json`
+/// and return the path written. A failed serialization or write exits the
+/// process nonzero: a stale JSON file must never pass for a fresh one.
+pub fn dump_json<T: Serialize + ?Sized>(name: &str, value: &T) -> PathBuf {
+    let path = PathBuf::from("bench_results").join(format!("{name}.json"));
+    let written = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("cannot serialize {name}: {e}"))
+        .and_then(|s| {
+            fs::create_dir_all("bench_results")
+                .and_then(|()| fs::write(&path, s))
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))
+        });
+    if let Err(e) = written {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => match fs::write(&path, s) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-                None
-            }
-        },
-        Err(e) => {
-            eprintln!("warning: cannot serialize {name}: {e}");
-            None
-        }
-    }
+    path
 }
 
 #[cfg(test)]
@@ -71,7 +65,7 @@ mod tests {
     #[test]
     fn dump_json_roundtrips() {
         let rows = vec![("a", 1.5f64), ("b", 2.5)];
-        let path = dump_json("unit_test_rows", &rows).expect("write ok");
+        let path = dump_json("unit_test_rows", &rows);
         let text = std::fs::read_to_string(&path).unwrap();
         let back: Vec<(String, f64)> = serde_json::from_str(&text).unwrap();
         assert_eq!(back.len(), 2);

@@ -6,17 +6,17 @@
 //! Every section is deterministic: fixed seeds, fixed workloads, no
 //! wall-clock or environment inputs.
 
-use crate::sweeps;
+use crate::sweeps::{
+    rows, ChurnSweep, CollectiveSweep, DatapathSweep, FabricChaosSweep, PlacementSweep,
+    ScalingSweep, Sweep,
+};
 use teco_core::{
     run_resumed, run_uninterrupted, KillPoint, ResumeWorkload, StepBoundary, TecoConfig,
     TecoSession,
 };
 use teco_cxl::FaultConfig;
 use teco_mem::LineData;
-use teco_offload::{
-    chaos_report_md, churn_report_md, collective_report_md, fault_report_md, placement_report_md,
-    scaling_report_md,
-};
+use teco_offload::fault_report_md;
 use teco_sim::SimTime;
 
 /// A small fixed-seed faulty run so the report always carries a populated
@@ -136,119 +136,192 @@ pub fn resume_section() -> String {
     )
 }
 
-/// The datapath section: the fixed-seed datapath workload across fault ×
-/// protocol, one row per cell. The digest column is FNV-1a over the
-/// serialized session snapshot, so any change to simulated state shows up
-/// as a changed digest. Serial render for the same reason as
-/// [`scaling_section`].
-pub fn datapath_section() -> String {
-    let rows = sweeps::datapath_rows_with_workers(1);
-    let mut out = String::from(
-        "\n## Datapath end state (faults \u{d7} protocol)\n\n\
-         | faults | protocol | sim \u{b5}s | to-device bytes | retries | \
-         checksum mismatches | snoop peak | snapshot digest |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    for r in &rows {
-        out.push_str(&format!(
-            "| {} | {} | {:.3} | {} | {} | {} | {} | `{}` |\n",
-            if r.faulty { "on" } else { "off" },
-            if r.invalidation { "invalidation" } else { "update" },
-            r.sim_time_ns as f64 / 1e3,
-            r.bytes_to_device,
-            r.link_retries,
-            r.checksum_mismatches,
-            r.snoop_peak,
-            r.snapshot_digest,
-        ));
+/// A sweep's section: its table over rows computed serially — a report
+/// render must not depend on core count even transiently (the rows are
+/// worker-independent anyway; this keeps the render path trivially
+/// single-threaded). With `pass`, a gate line follows: `pass` when the
+/// sweep's divergences are empty, the failures otherwise.
+fn sweep_section<S: Sweep>(pass: Option<&str>) -> String {
+    let rows = rows::<S>(1);
+    let mut out = format!("\n{}", S::table(&rows));
+    if let Some(pass) = pass {
+        let bad = S::divergences(&rows);
+        let verdict = if bad.is_empty() {
+            pass.to_string()
+        } else {
+            format!("FAILED — {}", bad.join("; "))
+        };
+        out.push_str(&format!("\ngate: {verdict}\n"));
     }
     out
 }
 
-/// The multi-device scaling section: renders the full scaling sweep
-/// (N ∈ {1, 2, 4, 8} × batch ∈ {4, 8, 16}) through the shared markdown
-/// renderer. Serial on purpose — a report render must not depend on core
-/// count even transiently (the rows are worker-independent anyway; this
-/// just keeps the render path trivially single-threaded).
+/// The datapath section: the fixed-seed datapath workload across fault ×
+/// protocol, one row per cell.
+pub fn datapath_section() -> String {
+    sweep_section::<DatapathSweep>(None)
+}
+
+/// The multi-device scaling section: N ∈ {1, 2, 4, 8} × batch ∈ {4, 8, 16}.
 pub fn scaling_section() -> String {
-    let rows = sweeps::scaling_rows_with_workers(1);
-    format!("\n{}", scaling_report_md(&sweeps::scaling_points(&rows)))
+    sweep_section::<ScalingSweep>(None)
 }
 
 /// The fault-domain churn section: device loss, watchdog detection,
-/// shard redistribution, hot readmission, and pool-media RAS, rendered
-/// from the full churn sweep. Serial for the same reason as
-/// [`scaling_section`].
+/// shard redistribution, hot readmission, and pool-media RAS.
 pub fn churn_section() -> String {
-    let rows = sweeps::churn_rows_with_workers(1);
-    format!("\n{}", churn_report_md(&sweeps::churn_points(&rows)))
+    sweep_section::<ChurnSweep>(None)
 }
 
 /// The fabric chaos section: host loss at a chunk boundary of the fused
 /// all-reduce, watchdog detection, survivor regroup, hot readmission,
-/// and staging-media RAS, rendered from the full chaos sweep with its
-/// acceptance gate summarized underneath. Serial for the same reason as
-/// [`scaling_section`].
+/// and staging-media RAS, with the sweep's gate underneath.
 pub fn chaos_section() -> String {
-    let rows = sweeps::chaos_rows_with_workers(1);
-    let bad = sweeps::chaos_divergences(&rows);
-    let mut out = format!("\n{}", chaos_report_md(&sweeps::chaos_points(&rows)));
-    out.push_str(&format!(
-        "\ngate: {}\n",
-        if bad.is_empty() {
-            "every degraded and readmitted fabric ended byte-identical to its \
-             never-failed golden, with zero poisoned bytes admitted"
-                .to_string()
-        } else {
-            format!("FAILED — {}", bad.join("; "))
-        }
-    ));
-    out
+    sweep_section::<FabricChaosSweep>(Some(
+        "every degraded and readmitted fabric ended byte-identical to its \
+         never-failed golden, with zero poisoned bytes admitted",
+    ))
 }
 
 /// The tiered-placement section: every Table III model under the
 /// explicit single-tier policy instance and the tiered policy, with the
-/// sweep's acceptance gate (single-tier byte-identical to the legacy
-/// default, tiered demonstrably re-placed, autotuned cache tracking
-/// Table III) summarized underneath. Serial for the same reason as
-/// [`scaling_section`].
+/// sweep's gate underneath.
 pub fn placement_section() -> String {
-    let rows = sweeps::placement_rows_with_workers(1);
-    let bad = sweeps::placement_divergences(&rows);
-    let mut out = format!("\n{}", placement_report_md(&sweeps::placement_points(&rows)));
-    out.push_str(&format!(
-        "\ngate: {}\n",
-        if bad.is_empty() {
-            "explicit single-tier stayed byte-identical to the legacy default on \
-             every model, every tiered cell re-placed tensors off the giant cache, \
-             and the autotuned cache tracked Table III"
-                .to_string()
-        } else {
-            format!("FAILED — {}", bad.join("; "))
-        }
-    ));
-    out
+    sweep_section::<PlacementSweep>(Some(
+        "explicit single-tier stayed byte-identical to the legacy default on \
+         every model, every tiered cell re-placed tensors off the giant cache, \
+         and the autotuned cache tracked Table III",
+    ))
 }
 
-/// The inter-host collective section: the pool-vs-ring comparison grid
-/// rendered through the shared markdown renderer, with the sweep's
-/// acceptance gate (pool beats ring on time and bytes, bits match,
-/// host 0 unperturbed) summarized underneath. Serial for the same reason
-/// as [`scaling_section`].
+/// The inter-host collective section: the pool-vs-ring comparison grid,
+/// with the sweep's gate (pool beats ring on time and bytes, bits match,
+/// host 0 unperturbed) underneath.
 pub fn collective_section() -> String {
-    let sweep = sweeps::collective_sweep_with_workers(1);
-    let bad = sweeps::collective_divergences(&sweep);
-    let mut out =
-        format!("\n{}", collective_report_md(&sweeps::collective_points(&sweep.collective)));
-    out.push_str(&format!(
-        "\ngate: {}\n",
-        if bad.is_empty() {
-            "pool beat the ring on time and bytes in every cell, bit-identically, \
-             with host 0 of every fabric byte-identical to the single-host path"
-                .to_string()
-        } else {
-            format!("FAILED — {}", bad.join("; "))
-        }
-    ));
-    out
+    sweep_section::<CollectiveSweep>(Some(
+        "pool beat the ring on time and bytes in every cell, bit-identically, \
+         with host 0 of every fabric byte-identical to the single-host path",
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::sweeps::{
+        ChurnRow, ChurnSweep, CollectiveEntry, CollectiveRow, CollectiveSweep, PlacementRow,
+        PlacementSweep, ScalingRow, ScalingSweep, Sweep,
+    };
+
+    #[test]
+    fn scaling_report_renders_rows_and_empty_case() {
+        assert!(ScalingSweep::table(&[]).contains("No scaling points recorded"));
+        let r = ScalingRow {
+            devices: 4,
+            batch: 8,
+            steps: 6,
+            model_lines: 512,
+            cluster_time_ns: 1_500_000,
+            one_device_time_ns: 1_200_000,
+            speedup_vs_one: 3.2,
+            efficiency_pct: 80.0,
+            host_wait_ns: 250_000,
+            host_drained_ns: 1_400_000,
+            host_bytes: 0,
+            broadcast_bytes: 0,
+            fanout_saved_bytes: 3_000_000,
+            device_checksum: 0,
+            pool_checksum: 0,
+        };
+        let md = ScalingSweep::table(std::slice::from_ref(&r));
+        assert!(md.contains("| 4 | 8 | 1.500 | 3.20 | 80.0% | 0.250 | 1.400 | 3.00 |"), "{md}");
+        assert_eq!(md, ScalingSweep::table(&[r]), "deterministic");
+    }
+
+    #[test]
+    fn churn_report_renders_rows_and_empty_case() {
+        assert!(ChurnSweep::table(&[]).contains("No churn points recorded"));
+        let r = ChurnRow {
+            devices: 4,
+            kill_mode: "readmit".into(),
+            media_rate: 1.0,
+            steps: 10,
+            down_events: 1,
+            quarantines: 1,
+            readmits: 1,
+            redistributed_lines: 24,
+            typed_errors: 1,
+            ras_faults_injected: 17,
+            ras_detected_by_scrub: 0,
+            ras_detected_on_access: 0,
+            ras_lines_retired: 12,
+            ras_rebuilds: 3,
+            cluster_time_ns: 2_400_000,
+            pool_checksum: 0,
+            clean_pool_checksum: 0,
+            converged: true,
+        };
+        let md = ChurnSweep::table(std::slice::from_ref(&r));
+        assert!(
+            md.contains("| 4 | readmit | 1.00 | 1 | 1 | 24 | 17 | 12 | 3 | 2.400 | yes |"),
+            "{md}"
+        );
+        let bad = ChurnRow { converged: false, ..r.clone() };
+        assert!(ChurnSweep::table(&[bad]).contains("| NO |"));
+        assert_eq!(md, ChurnSweep::table(&[r]), "deterministic");
+    }
+
+    #[test]
+    fn collective_report_renders_rows_and_empty_case() {
+        assert!(CollectiveSweep::table(&[]).contains("No collective points recorded"));
+        let r = CollectiveRow {
+            hosts: 4,
+            grad_bytes: 64 << 20,
+            pool_ns: 20_000_000,
+            ring_ns: 33_000_000,
+            speedup: 1.65,
+            pool_port_bytes: 7 * (64 << 20),
+            pool_media_bytes: 0,
+            fanin_saved_bytes: 2 * (64 << 20),
+            ring_link_bytes: 12 * (64 << 20),
+            byte_ratio: 12.0 / 7.0,
+            results_match: true,
+            grad_checksum: String::new(),
+        };
+        let md = CollectiveSweep::table(&[CollectiveEntry::Compare(r.clone())]);
+        assert!(
+            md.contains("| 4 | 64 | 20.000 | 33.000 | 1.65 | 469.8 | 805.3 | 134.2 | yes |"),
+            "{md}"
+        );
+        let bad = CollectiveRow { results_match: false, ..r.clone() };
+        assert!(CollectiveSweep::table(&[CollectiveEntry::Compare(bad)]).contains("| NO |"));
+        assert_eq!(md, CollectiveSweep::table(&[CollectiveEntry::Compare(r)]), "deterministic");
+    }
+
+    #[test]
+    fn placement_report_renders_rows_and_empty_case() {
+        assert!(PlacementSweep::table(&[]).contains("No placement points recorded"));
+        let r = PlacementRow {
+            model: "GPT-2".into(),
+            policy: "tiered".into(),
+            autotuned_mb: 320,
+            table3_mb: 324,
+            sim_time_ns: 0,
+            device_bytes: 4096,
+            giant_cache_bytes: 131_072,
+            host_dram_bytes: 65_536,
+            migrations: 2,
+            migrated_bytes: 8192,
+            bytes_to_device: 262_144,
+            bytes_to_host: 131_072,
+            snapshot_digest: "deadbeefcafef00d".into(),
+        };
+        let md = PlacementSweep::table(std::slice::from_ref(&r));
+        assert!(
+            md.contains(
+                "| GPT-2 | tiered | 320 | 324 | 4096 | 131072 | 65536 | 2 | 8192 | 262144 \
+                 | 131072 | deadbeefcafef00d |"
+            ),
+            "{md}"
+        );
+        assert_eq!(md, PlacementSweep::table(&[r]), "deterministic");
+    }
 }

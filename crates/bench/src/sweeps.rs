@@ -1,30 +1,166 @@
-//! Sweep-row computation shared between the bench binaries and the test
-//! suite.
+//! The eight experiment sweeps behind `bench_results/*.json`, behind one
+//! [`Sweep`] trait and one [`registry`].
 //!
-//! The fault and scaling sweeps used to live inline in their binaries;
-//! they are library functions so the determinism matrix
-//! (`tests/determinism.rs`) can run the *same* row computation under both
-//! serial and parallel [`teco_offload::sweep_with_workers`] execution and
-//! require byte-identical JSON. Every cell is computed independently —
-//! including its own clean/one-device baseline — so cells can run on any
-//! worker in any order without sharing state.
+//! A sweep is a grid of independent cells, one row per cell, one markdown
+//! table, and a gate ([`Sweep::divergences`]) its rows must pass. The
+//! `sweep` binary runs any of them by name, `generate_report` renders their
+//! tables into REPORT.md, and `tests/determinism.rs` pins serial against
+//! parallel execution for every registered sweep. Every cell computes its
+//! own baseline, so cells run on any worker in any order without sharing
+//! state and the rows never depend on the worker count.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use teco_core::{
-    run_churn, run_cluster_uninterrupted, run_fabric_chaos, run_fabric_uninterrupted,
-    ChurnWorkload, ClusterConfig, ClusterReport, ClusterWorkload, FabricChaosWorkload,
-    FabricWorkload, HostKillSpec, PlacementPolicy, TecoConfig, TecoSession, TieredPolicy,
+    run_churn, run_cluster_uninterrupted, run_fabric_chaos, run_fabric_uninterrupted, run_resumed,
+    run_uninterrupted, ChurnWorkload, ClusterConfig, ClusterReport, ClusterWorkload,
+    FabricChaosWorkload, FabricWorkload, HostKillSpec, KillPoint, PlacementPolicy, ResumeWorkload,
+    StepBoundary, TecoConfig, TecoSession, TieredPolicy,
 };
 use teco_cxl::{
     ring_all_reduce, CollectiveConfig, CollectivePhase, FaultConfig, PoolCollective, RasConfig,
 };
 use teco_dl::ModelSpec;
 use teco_mem::{Addr, LineData};
-use teco_offload::{
-    autotune_giant_cache, sweep_with_workers, ChaosPoint, ChurnPoint, CollectivePoint,
-    PlacementPoint, ScalingPoint,
-};
+use teco_offload::{autotune_giant_cache, md_table, sweep_with_workers};
 use teco_sim::{SimRng, SimTime};
+
+// ---------------------------------------------------------------------------
+// The trait, the runner, and the registry
+// ---------------------------------------------------------------------------
+
+/// One experiment sweep: a grid of independent cells, the row computed
+/// per cell, one markdown table, and the gate its rows must pass.
+pub trait Sweep {
+    /// The sweep's name: the `sweep` binary's argument and the stem of
+    /// `bench_results/<NAME>.json`.
+    const NAME: &'static str;
+    /// One cell of the grid.
+    type Cell: Sync;
+    /// The row computed for one cell.
+    type Row: Serialize + Send;
+    /// The grid, in the order the JSON carries.
+    fn grid() -> Vec<Self::Cell>;
+    /// Compute one cell's row, including any baseline it compares against.
+    fn row(cell: &Self::Cell) -> Self::Row;
+    /// The markdown table REPORT.md renders and the `sweep` binary prints.
+    fn table(rows: &[Self::Row]) -> String;
+    /// The gate: one description per failed check (empty = pass).
+    fn divergences(_rows: &[Self::Row]) -> Vec<String> {
+        Vec::new()
+    }
+    /// The document written to `bench_results/<NAME>.json`.
+    fn json(rows: &[Self::Row]) -> Value {
+        rows.to_value()
+    }
+}
+
+/// Every row of `S`, computed on `workers` threads; any count returns the
+/// same rows.
+pub fn rows<S: Sweep>(workers: usize) -> Vec<S::Row> {
+    sweep_with_workers(&S::grid(), workers, |_, cell| S::row(cell))
+}
+
+/// What one run of a sweep produced.
+pub struct Outcome {
+    /// The document for `bench_results/<name>.json`.
+    pub json: Value,
+    /// The sweep's markdown table.
+    pub table: String,
+    /// The gate's failures (empty = pass).
+    pub divergences: Vec<String>,
+}
+
+/// A registered sweep with its cell and row types erased.
+#[derive(Clone, Copy)]
+pub struct Entry {
+    /// [`Sweep::NAME`].
+    pub name: &'static str,
+    /// Compute every row on the given number of workers.
+    pub run: fn(workers: usize) -> Outcome,
+}
+
+fn entry<S: Sweep>() -> Entry {
+    Entry {
+        name: S::NAME,
+        run: |workers| {
+            let rows = rows::<S>(workers);
+            Outcome {
+                json: S::json(&rows),
+                table: S::table(&rows),
+                divergences: S::divergences(&rows),
+            }
+        },
+    }
+}
+
+/// Every sweep, in the order the `sweep` binary runs them.
+pub fn registry() -> [Entry; 8] {
+    [
+        entry::<FaultSweep>(),
+        entry::<ScalingSweep>(),
+        entry::<DatapathSweep>(),
+        entry::<ChurnSweep>(),
+        entry::<CollectiveSweep>(),
+        entry::<FabricChaosSweep>(),
+        entry::<PlacementSweep>(),
+        entry::<SoakResume>(),
+    ]
+}
+
+/// A sweep's markdown section: `## title`, one table (or "No `noun` points
+/// recorded." when there are no rows), then `note` when it is non-empty.
+fn md_section(
+    title: &str,
+    noun: &str,
+    header: &[&str],
+    rows: Vec<Vec<String>>,
+    note: &str,
+) -> String {
+    let mut out = format!("## {title}\n\n");
+    if rows.is_empty() {
+        out += &format!("No {noun} points recorded.\n\n");
+        return out;
+    }
+    out += &md_table(header, &rows);
+    if !note.is_empty() {
+        out += &format!("\n{note}\n");
+    }
+    out
+}
+
+fn yes_no(ok: bool) -> String {
+    if ok { "yes" } else { "NO" }.to_string()
+}
+
+/// FNV-1a 64 in hex over arbitrary bytes.
+pub fn fnv1a_hex(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    format!("{h:016x}")
+}
+
+/// Parameter line for (step, i): the high halves of every word are fixed
+/// across steps (the §III DBA premise), only the low two bytes change.
+fn param_line(step: u64, i: u64) -> LineData {
+    let mut l = LineData::zeroed();
+    for w in 0..16usize {
+        let hi = ((i as u32) << 16) ^ ((w as u32) << 26);
+        let lo = (0x1000u32.wrapping_add(step as u32 * 257).wrapping_add(w as u32)) & 0xFFFF;
+        l.set_word(w, (hi & 0xFFFF_0000) | lo);
+    }
+    l
+}
+
+fn grad_line(step: u64, i: u64) -> LineData {
+    let mut l = LineData::zeroed();
+    for w in 0..16usize {
+        l.set_word(w, (step as u32) << 24 ^ (i as u32) << 8 ^ w as u32);
+    }
+    l
+}
 
 // ---------------------------------------------------------------------------
 // Fault sweep
@@ -37,6 +173,10 @@ pub const FAULT_ROUNDS: u64 = 4;
 /// The fault injector's fixed seed.
 pub const FAULT_SEED: u64 = 42;
 
+/// The recovery cost of the link fault model across fault rates ×
+/// `dirty_bytes`, each cell against its own fault-model-off run.
+pub struct FaultSweep;
+
 /// One cell of the fault sweep's grid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultCell {
@@ -44,18 +184,6 @@ pub struct FaultCell {
     pub dirty_bytes: u8,
     /// The rate fed to every fault class.
     pub fault_rate: f64,
-}
-
-/// The grid: dirty ∈ {2, 4} × rate ∈ {0, 0.001, 0.01, 0.05}, in the
-/// order the sweep's JSON has always carried.
-pub fn fault_grid() -> Vec<FaultCell> {
-    let mut cells = Vec::new();
-    for &dirty_bytes in &[2u8, 4] {
-        for &fault_rate in &[0.0f64, 0.001, 0.01, 0.05] {
-            cells.push(FaultCell { dirty_bytes, fault_rate });
-        }
-    }
-    cells
 }
 
 /// One row of `bench_results/fault_sweep.json`.
@@ -87,26 +215,6 @@ pub struct FaultSweepRow {
     pub degraded_regions: u64,
     /// Did the giant-cache end state stay bit-identical to the clean run?
     pub state_matches_clean: bool,
-}
-
-/// Parameter line for (step, i): the high halves of every word are fixed
-/// across steps (the §III DBA premise), only the low two bytes change.
-fn param_line(step: u64, i: u64) -> LineData {
-    let mut l = LineData::zeroed();
-    for w in 0..16usize {
-        let hi = ((i as u32) << 16) ^ ((w as u32) << 26);
-        let lo = (0x1000u32.wrapping_add(step as u32 * 257).wrapping_add(w as u32)) & 0xFFFF;
-        l.set_word(w, (hi & 0xFFFF_0000) | lo);
-    }
-    l
-}
-
-fn grad_line(step: u64, i: u64) -> LineData {
-    let mut l = LineData::zeroed();
-    for w in 0..16usize {
-        l.set_word(w, (step as u32) << 24 ^ (i as u32) << 8 ^ w as u32);
-    }
-    l
 }
 
 /// Run the fixed fault workload; returns the session, the end-of-run
@@ -142,49 +250,101 @@ fn state_matches(a: &TecoSession, ab: Addr, b: &TecoSession, bb: Addr) -> bool {
     })
 }
 
-/// Compute one fault-sweep row. Self-contained: the cell runs its own
-/// clean baseline, so rows are identical whether computed serially or on
-/// any parallel worker.
-pub fn fault_row(cell: &FaultCell) -> FaultSweepRow {
-    let (clean_s, clean_t, clean_b) = run_fault_workload(cell.dirty_bytes, FaultConfig::off());
-    let fault = FaultConfig {
-        crc_error_rate: cell.fault_rate,
-        stall_rate: cell.fault_rate,
-        stall_ns: 100,
-        poison_rate: cell.fault_rate / 4.0,
-        dba_checksum_error_rate: cell.fault_rate,
-        retry_limit: 8,
-        seed: FAULT_SEED,
-        ..FaultConfig::off()
-    };
-    let (s, t, b) = run_fault_workload(cell.dirty_bytes, fault);
-    let r = s.fault_report();
-    FaultSweepRow {
-        fault_rate: cell.fault_rate,
-        dirty_bytes: cell.dirty_bytes,
-        sim_time_ns: t.as_ns(),
-        slowdown_vs_clean: t.as_ns() as f64 / clean_t.as_ns() as f64,
-        bytes_to_device: s.stats().bytes_to_device,
-        crc_errors: r.crc_errors,
-        link_retries: r.retries,
-        stalls: r.stalls,
-        checksum_mismatches: r.checksum_mismatches,
-        quarantined_lines: r.quarantined_lines,
-        full_line_retries: r.full_line_retries,
-        degraded_regions: r.degraded_regions,
-        state_matches_clean: state_matches(&s, b, &clean_s, clean_b),
+impl Sweep for FaultSweep {
+    const NAME: &'static str = "fault_sweep";
+    type Cell = FaultCell;
+    type Row = FaultSweepRow;
+
+    /// dirty ∈ {2, 4} × rate ∈ {0, 0.001, 0.01, 0.05}.
+    fn grid() -> Vec<FaultCell> {
+        let mut cells = Vec::new();
+        for &dirty_bytes in &[2u8, 4] {
+            for &fault_rate in &[0.0f64, 0.001, 0.01, 0.05] {
+                cells.push(FaultCell { dirty_bytes, fault_rate });
+            }
+        }
+        cells
     }
-}
 
-/// The full fault sweep at an explicit worker count.
-pub fn fault_rows_with_workers(workers: usize) -> Vec<FaultSweepRow> {
-    let grid = fault_grid();
-    sweep_with_workers(&grid, workers, |_, cell| fault_row(cell))
-}
+    fn row(cell: &FaultCell) -> FaultSweepRow {
+        let (clean_s, clean_t, clean_b) = run_fault_workload(cell.dirty_bytes, FaultConfig::off());
+        let fault = FaultConfig {
+            crc_error_rate: cell.fault_rate,
+            stall_rate: cell.fault_rate,
+            stall_ns: 100,
+            poison_rate: cell.fault_rate / 4.0,
+            dba_checksum_error_rate: cell.fault_rate,
+            retry_limit: 8,
+            seed: FAULT_SEED,
+            ..FaultConfig::off()
+        };
+        let (s, t, b) = run_fault_workload(cell.dirty_bytes, fault);
+        let r = s.fault_report();
+        FaultSweepRow {
+            fault_rate: cell.fault_rate,
+            dirty_bytes: cell.dirty_bytes,
+            sim_time_ns: t.as_ns(),
+            slowdown_vs_clean: t.as_ns() as f64 / clean_t.as_ns() as f64,
+            bytes_to_device: s.stats().bytes_to_device,
+            crc_errors: r.crc_errors,
+            link_retries: r.retries,
+            stalls: r.stalls,
+            checksum_mismatches: r.checksum_mismatches,
+            quarantined_lines: r.quarantined_lines,
+            full_line_retries: r.full_line_retries,
+            degraded_regions: r.degraded_regions,
+            state_matches_clean: state_matches(&s, b, &clean_s, clean_b),
+        }
+    }
 
-/// The full fault sweep across all cores.
-pub fn fault_rows() -> Vec<FaultSweepRow> {
-    fault_rows_with_workers(teco_dl::num_cores())
+    fn table(rows: &[FaultSweepRow]) -> String {
+        md_section(
+            "Link fault sweep: recovery cost across fault rates \u{d7} dirty bytes",
+            "fault",
+            &[
+                "rate",
+                "dirty bytes",
+                "sim ms",
+                "slowdown",
+                "retries",
+                "checksum mismatches",
+                "quarantined",
+                "degraded",
+                "state ok",
+            ],
+            rows.iter()
+                .map(|r| {
+                    vec![
+                        r.fault_rate.to_string(),
+                        r.dirty_bytes.to_string(),
+                        format!("{:.3}", r.sim_time_ns as f64 / 1e6),
+                        format!("{:.2}", r.slowdown_vs_clean),
+                        r.link_retries.to_string(),
+                        r.checksum_mismatches.to_string(),
+                        r.quarantined_lines.to_string(),
+                        r.degraded_regions.to_string(),
+                        yes_no(r.state_matches_clean),
+                    ]
+                })
+                .collect(),
+            "Rate-0 rows are byte-identical to the fault-model-off baseline; nonzero\n\
+             rates pay recovery time (retries, stalls, full-line resends) but the\n\
+             giant-cache end state stays bit-identical to the clean run.",
+        )
+    }
+
+    /// Every cell's giant-cache end state must equal its clean run's.
+    fn divergences(rows: &[FaultSweepRow]) -> Vec<String> {
+        rows.iter()
+            .filter(|r| !r.state_matches_clean)
+            .map(|r| {
+                format!(
+                    "rate={} dirty={}: giant-cache end state diverged from the clean run",
+                    r.fault_rate, r.dirty_bytes
+                )
+            })
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -210,6 +370,11 @@ pub const SCALING_SEED: u64 = 42;
 /// show.
 pub const SCALING_COMPUTE_NS_PER_SAMPLE: u64 = 500;
 
+/// N accelerators data-parallel over a shared CXL pool, each cell against
+/// its own one-device run. There is no paper baseline: the paper evaluates
+/// one accelerator per coherence domain (see EXPERIMENTS.md).
+pub struct ScalingSweep;
+
 /// One cell of the scaling sweep's grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScalingCell {
@@ -217,17 +382,6 @@ pub struct ScalingCell {
     pub devices: usize,
     /// Per-device batch size.
     pub batch: u64,
-}
-
-/// The grid: N ∈ {1, 2, 4, 8} × batch ∈ {4, 8, 16}, devices-major.
-pub fn scaling_grid() -> Vec<ScalingCell> {
-    let mut cells = Vec::new();
-    for &devices in &SCALING_DEVICES {
-        for &batch in &SCALING_BATCHES {
-            cells.push(ScalingCell { devices, batch });
-        }
-    }
-    cells
 }
 
 /// The fixed-seed cluster workload for one cell.
@@ -287,57 +441,81 @@ fn cluster_report(devices: usize, batch: u64) -> ClusterReport {
         .report
 }
 
-/// Compute one scaling row, including its own one-device baseline.
-pub fn scaling_row(cell: &ScalingCell) -> ScalingRow {
-    let r = cluster_report(cell.devices, cell.batch);
-    let one = if cell.devices == 1 { r.clone() } else { cluster_report(1, cell.batch) };
-    let t1 = one.cluster_time_ns as f64;
-    let tn = r.cluster_time_ns as f64;
-    let speedup = cell.devices as f64 * t1 / tn;
-    ScalingRow {
-        devices: r.n_devices,
-        batch: cell.batch,
-        steps: r.steps,
-        model_lines: SCALING_LINES,
-        cluster_time_ns: r.cluster_time_ns,
-        one_device_time_ns: one.cluster_time_ns,
-        speedup_vs_one: speedup,
-        efficiency_pct: speedup / cell.devices as f64 * 100.0,
-        host_wait_ns: r.host.total_wait_ns,
-        host_drained_ns: r.host.drained_ns,
-        host_bytes: r.host.per_device.iter().map(|a| a.bytes).sum(),
-        broadcast_bytes: r.host.broadcast_bytes,
-        fanout_saved_bytes: r.host.fanout_saved_bytes,
-        device_checksum: r.devices[0].device_checksum,
-        pool_checksum: r.pool_checksum,
+impl Sweep for ScalingSweep {
+    const NAME: &'static str = "scaling_sweep";
+    type Cell = ScalingCell;
+    type Row = ScalingRow;
+
+    /// N ∈ {1, 2, 4, 8} × batch ∈ {4, 8, 16}, devices-major.
+    fn grid() -> Vec<ScalingCell> {
+        let mut cells = Vec::new();
+        for &devices in &SCALING_DEVICES {
+            for &batch in &SCALING_BATCHES {
+                cells.push(ScalingCell { devices, batch });
+            }
+        }
+        cells
     }
-}
 
-/// The full scaling sweep at an explicit worker count.
-pub fn scaling_rows_with_workers(workers: usize) -> Vec<ScalingRow> {
-    let grid = scaling_grid();
-    sweep_with_workers(&grid, workers, |_, cell| scaling_row(cell))
-}
-
-/// The full scaling sweep across all cores.
-pub fn scaling_rows() -> Vec<ScalingRow> {
-    scaling_rows_with_workers(teco_dl::num_cores())
-}
-
-/// Reduce scaling rows to the report renderer's plain points.
-pub fn scaling_points(rows: &[ScalingRow]) -> Vec<ScalingPoint> {
-    rows.iter()
-        .map(|r| ScalingPoint {
-            devices: r.devices,
-            batch: r.batch,
+    fn row(cell: &ScalingCell) -> ScalingRow {
+        let r = cluster_report(cell.devices, cell.batch);
+        let one = if cell.devices == 1 { r.clone() } else { cluster_report(1, cell.batch) };
+        let t1 = one.cluster_time_ns as f64;
+        let tn = r.cluster_time_ns as f64;
+        let speedup = cell.devices as f64 * t1 / tn;
+        ScalingRow {
+            devices: r.n_devices,
+            batch: cell.batch,
+            steps: r.steps,
+            model_lines: SCALING_LINES,
             cluster_time_ns: r.cluster_time_ns,
-            speedup_vs_one: r.speedup_vs_one,
-            efficiency_pct: r.efficiency_pct,
-            host_wait_ns: r.host_wait_ns,
-            host_drained_ns: r.host_drained_ns,
-            fanout_saved_bytes: r.fanout_saved_bytes,
-        })
-        .collect()
+            one_device_time_ns: one.cluster_time_ns,
+            speedup_vs_one: speedup,
+            efficiency_pct: speedup / cell.devices as f64 * 100.0,
+            host_wait_ns: r.host.total_wait_ns,
+            host_drained_ns: r.host.drained_ns,
+            host_bytes: r.host.per_device.iter().map(|a| a.bytes).sum(),
+            broadcast_bytes: r.host.broadcast_bytes,
+            fanout_saved_bytes: r.host.fanout_saved_bytes,
+            device_checksum: r.devices[0].device_checksum,
+            pool_checksum: r.pool_checksum,
+        }
+    }
+
+    fn table(rows: &[ScalingRow]) -> String {
+        md_section(
+            "Multi-device scaling over a shared CXL pool",
+            "scaling",
+            &[
+                "devices",
+                "batch",
+                "cluster ms",
+                "speedup",
+                "efficiency",
+                "host wait ms",
+                "host drain ms",
+                "fan-out saved MB",
+            ],
+            rows.iter()
+                .map(|r| {
+                    vec![
+                        r.devices.to_string(),
+                        r.batch.to_string(),
+                        format!("{:.3}", r.cluster_time_ns as f64 / 1e6),
+                        format!("{:.2}", r.speedup_vs_one),
+                        format!("{:.1}%", r.efficiency_pct),
+                        format!("{:.3}", r.host_wait_ns as f64 / 1e6),
+                        format!("{:.3}", r.host_drained_ns as f64 / 1e6),
+                        format!("{:.2}", r.fanout_saved_bytes as f64 / 1e6),
+                    ]
+                })
+                .collect(),
+            "Speedup counts shards processed per unit time versus the one-device run;\n\
+             efficiency below 100% is host-budget contention (the shared DRAM pool\n\
+             serializes gradient reduction once aggregate link bandwidth exceeds it).\n\
+             Fan-out savings are the host reads the update-mode broadcast avoided.",
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +532,11 @@ pub const DATAPATH_ROUNDS: u64 = 2;
 /// The fault injector's fixed seed.
 pub const DATAPATH_SEED: u64 = 1234;
 
+/// One session workload (bulk parameter runs, a gradient stream back, two
+/// fences per round) with the fault model off and on, under both protocol
+/// modes, down to an FNV-1a digest of the serialized session snapshot.
+pub struct DatapathSweep;
+
 /// One cell of the datapath sweep's grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DatapathCell {
@@ -363,19 +546,7 @@ pub struct DatapathCell {
     pub invalidation: bool,
 }
 
-/// The grid: protocol-major, then fault.
-pub fn datapath_grid() -> Vec<DatapathCell> {
-    let mut cells = Vec::new();
-    for &invalidation in &[false, true] {
-        for &faulty in &[false, true] {
-            cells.push(DatapathCell { faulty, invalidation });
-        }
-    }
-    cells
-}
-
-/// One row of `bench_results/datapath_sweep.json`; the CI datapath-smoke
-/// job diffs the file run-to-run and against the committed copy.
+/// One row of `bench_results/datapath_sweep.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatapathRow {
     /// Fault model on?
@@ -403,81 +574,110 @@ pub struct DatapathRow {
     pub snapshot_digest: String,
 }
 
-/// FNV-1a 64 in hex over arbitrary bytes.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    format!("{h:016x}")
-}
+impl Sweep for DatapathSweep {
+    const NAME: &'static str = "datapath_sweep";
+    type Cell = DatapathCell;
+    type Row = DatapathRow;
 
-/// Run the fixed datapath workload and serialize the end state.
-pub fn datapath_row(cell: &DatapathCell) -> DatapathRow {
-    let fault = if cell.faulty {
-        FaultConfig {
-            crc_error_rate: 0.01,
-            stall_rate: 0.005,
-            stall_ns: 60,
-            poison_rate: 0.002,
-            dba_checksum_error_rate: 0.01,
-            retry_limit: 16,
-            seed: DATAPATH_SEED,
-            ..FaultConfig::off()
+    /// Protocol-major, then fault.
+    fn grid() -> Vec<DatapathCell> {
+        let mut cells = Vec::new();
+        for &invalidation in &[false, true] {
+            for &faulty in &[false, true] {
+                cells.push(DatapathCell { faulty, invalidation });
+            }
         }
-    } else {
-        FaultConfig::off()
-    };
-    let mut cfg = TecoConfig::default()
-        .with_giant_cache_bytes(1 << 22)
-        .with_dirty_bytes(2)
-        .with_act_aft_steps(1)
-        .with_fault(fault);
-    if cell.invalidation {
-        cfg = cfg.with_protocol(teco_cxl::ProtocolMode::Invalidation);
+        cells
     }
-    let mut s = TecoSession::new(cfg).expect("valid config");
-    let (_, pbase) = s.alloc_tensor("params", DATAPATH_LINES * 64).expect("alloc params");
-    let (_, gbase) = s.alloc_tensor("grads", DATAPATH_GRAD_LINES * 64).expect("alloc grads");
-    let mut now = SimTime::ZERO;
-    for step in 0..DATAPATH_ROUNDS {
-        for i in 0..DATAPATH_GRAD_LINES {
-            let _ = s.push_grad_line(Addr(gbase.0 + i * 64), grad_line(step, i), now);
+
+    fn row(cell: &DatapathCell) -> DatapathRow {
+        let fault = if cell.faulty {
+            FaultConfig {
+                crc_error_rate: 0.01,
+                stall_rate: 0.005,
+                stall_ns: 60,
+                poison_rate: 0.002,
+                dba_checksum_error_rate: 0.01,
+                retry_limit: 16,
+                seed: DATAPATH_SEED,
+                ..FaultConfig::off()
+            }
+        } else {
+            FaultConfig::off()
+        };
+        let mut cfg = TecoConfig::default()
+            .with_giant_cache_bytes(1 << 22)
+            .with_dirty_bytes(2)
+            .with_act_aft_steps(1)
+            .with_fault(fault);
+        if cell.invalidation {
+            cfg = cfg.with_protocol(teco_cxl::ProtocolMode::Invalidation);
         }
-        now = s.cxlfence_grads(now);
-        s.check_activation(step);
-        let lines: Vec<LineData> = (0..DATAPATH_LINES).map(|i| param_line(step, i)).collect();
-        s.push_param_lines(pbase, &lines, now).expect("param push");
-        now = s.cxlfence_params(now);
+        let mut s = TecoSession::new(cfg).expect("valid config");
+        let (_, pbase) = s.alloc_tensor("params", DATAPATH_LINES * 64).expect("alloc params");
+        let (_, gbase) = s.alloc_tensor("grads", DATAPATH_GRAD_LINES * 64).expect("alloc grads");
+        let mut now = SimTime::ZERO;
+        for step in 0..DATAPATH_ROUNDS {
+            for i in 0..DATAPATH_GRAD_LINES {
+                let _ = s.push_grad_line(Addr(gbase.0 + i * 64), grad_line(step, i), now);
+            }
+            now = s.cxlfence_grads(now);
+            s.check_activation(step);
+            let lines: Vec<LineData> = (0..DATAPATH_LINES).map(|i| param_line(step, i)).collect();
+            s.push_param_lines(pbase, &lines, now).expect("param push");
+            now = s.cxlfence_params(now);
+        }
+        let snap_json = serde_json::to_string(&s.snapshot()).expect("serialize snapshot");
+        let r = s.fault_report();
+        let snoop = s.coherence().snoop_filter().stats();
+        DatapathRow {
+            faulty: cell.faulty,
+            invalidation: cell.invalidation,
+            sim_time_ns: now.as_ns(),
+            bytes_to_device: s.stats().bytes_to_device,
+            bytes_to_host: s.stats().bytes_to_host,
+            coherence_control_bytes: s.coherence().to_device.control_bytes,
+            snoop_entries: snoop.entries,
+            snoop_peak: snoop.peak_entries,
+            link_retries: r.retries,
+            checksum_mismatches: r.checksum_mismatches,
+            snapshot_digest: fnv1a_hex(snap_json.as_bytes()),
+        }
     }
-    let snap_json = serde_json::to_string(&s.snapshot()).expect("serialize snapshot");
-    let r = s.fault_report();
-    let snoop = s.coherence().snoop_filter().stats();
-    DatapathRow {
-        faulty: cell.faulty,
-        invalidation: cell.invalidation,
-        sim_time_ns: now.as_ns(),
-        bytes_to_device: s.stats().bytes_to_device,
-        bytes_to_host: s.stats().bytes_to_host,
-        coherence_control_bytes: s.coherence().to_device.control_bytes,
-        snoop_entries: snoop.entries,
-        snoop_peak: snoop.peak_entries,
-        link_retries: r.retries,
-        checksum_mismatches: r.checksum_mismatches,
-        snapshot_digest: fnv1a_hex(snap_json.as_bytes()),
+
+    /// The digest column is FNV-1a over the serialized session snapshot,
+    /// so any change to simulated state shows up as a changed digest.
+    fn table(rows: &[DatapathRow]) -> String {
+        md_section(
+            "Datapath end state (faults \u{d7} protocol)",
+            "datapath",
+            &[
+                "faults",
+                "protocol",
+                "sim \u{b5}s",
+                "to-device bytes",
+                "retries",
+                "checksum mismatches",
+                "snoop peak",
+                "snapshot digest",
+            ],
+            rows.iter()
+                .map(|r| {
+                    vec![
+                        if r.faulty { "on" } else { "off" }.to_string(),
+                        if r.invalidation { "invalidation" } else { "update" }.to_string(),
+                        format!("{:.3}", r.sim_time_ns as f64 / 1e3),
+                        r.bytes_to_device.to_string(),
+                        r.link_retries.to_string(),
+                        r.checksum_mismatches.to_string(),
+                        r.snoop_peak.to_string(),
+                        format!("`{}`", r.snapshot_digest),
+                    ]
+                })
+                .collect(),
+            "",
+        )
     }
-}
-
-/// The full datapath sweep at an explicit worker count.
-pub fn datapath_rows_with_workers(workers: usize) -> Vec<DatapathRow> {
-    let grid = datapath_grid();
-    sweep_with_workers(&grid, workers, |_, cell| datapath_row(cell))
-}
-
-/// The full datapath sweep across all cores.
-pub fn datapath_rows() -> Vec<DatapathRow> {
-    datapath_rows_with_workers(teco_dl::num_cores())
 }
 
 // ---------------------------------------------------------------------------
@@ -500,6 +700,12 @@ pub const CHURN_KILL_STEP: u64 = 3;
 pub const CHURN_READMIT_AFTER: u64 = 2;
 /// The RAS fault injector's fixed seed.
 pub const CHURN_RAS_SEED: u64 = 42;
+
+/// Device loss and pool-media RAS over a shared pool: a killed device is
+/// declared down by the fence-deadline watchdog, its shard reroutes
+/// through the survivors, and in readmit mode it is rebuilt from the
+/// pooled optimizer state; every cell must converge to its clean run.
+pub struct ChurnSweep;
 
 /// Failure schedule of one churn cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -531,20 +737,6 @@ pub struct ChurnCell {
     pub kill: KillMode,
     /// Persistent media faults per scrub tick (0 = RAS off).
     pub media_rate: f64,
-}
-
-/// The grid: N ∈ {2, 4} × kill ∈ {none, lose, readmit} × media rate
-/// ∈ {0, 1}, devices-major.
-pub fn churn_grid() -> Vec<ChurnCell> {
-    let mut cells = Vec::new();
-    for &devices in &CHURN_DEVICES {
-        for &kill in &[KillMode::None, KillMode::Lose, KillMode::Readmit] {
-            for &media_rate in &CHURN_MEDIA_RATES {
-                cells.push(ChurnCell { devices, kill, media_rate });
-            }
-        }
-    }
-    cells
 }
 
 /// The fixed churn workload for one cell. Content is formulaic (see
@@ -625,72 +817,118 @@ pub struct ChurnRow {
     pub converged: bool,
 }
 
-/// Compute one churn row, including its own clean baseline (kill = none,
-/// RAS off), so rows are worker-independent.
-pub fn churn_row(cell: &ChurnCell) -> ChurnRow {
-    let clean_cell = ChurnCell { devices: cell.devices, kill: KillMode::None, media_rate: 0.0 };
-    let clean = run_churn(&churn_cell_workload(&clean_cell)).expect("clean churn run completes");
-    let out = run_churn(&churn_cell_workload(cell)).expect("churn run completes");
-    // Every device must match the clean run except a dead, never-readmitted
-    // one (the broadcasts after its death never reached it).
-    let dead = match cell.kill {
-        KillMode::Lose => Some(cell.devices - 1),
-        _ => None,
-    };
-    let converged = out.pool_checksum == clean.pool_checksum
-        && (0..cell.devices)
-            .filter(|&d| Some(d) != dead)
-            .all(|d| out.device_checksums[d] == clean.device_checksums[d]);
-    ChurnRow {
-        devices: cell.devices as u64,
-        kill_mode: cell.kill.label().to_string(),
-        media_rate: cell.media_rate,
-        steps: out.report.steps,
-        down_events: out.report.down_events,
-        quarantines: out.report.quarantines,
-        readmits: out.report.readmits,
-        redistributed_lines: out.redistributed_lines,
-        typed_errors: out.typed_errors,
-        ras_faults_injected: out.report.ras.faults_injected,
-        ras_detected_by_scrub: out.report.ras.detected_by_scrub,
-        ras_detected_on_access: out.report.ras.detected_on_access,
-        ras_lines_retired: out.report.ras.lines_retired,
-        ras_rebuilds: out.report.ras.rebuilds,
-        cluster_time_ns: out.report.cluster_time_ns,
-        pool_checksum: out.pool_checksum,
-        clean_pool_checksum: clean.pool_checksum,
-        converged,
+impl Sweep for ChurnSweep {
+    const NAME: &'static str = "churn_sweep";
+    type Cell = ChurnCell;
+    type Row = ChurnRow;
+
+    /// N ∈ {2, 4} × kill ∈ {none, lose, readmit} × media rate ∈ {0, 1},
+    /// devices-major.
+    fn grid() -> Vec<ChurnCell> {
+        let mut cells = Vec::new();
+        for &devices in &CHURN_DEVICES {
+            for &kill in &[KillMode::None, KillMode::Lose, KillMode::Readmit] {
+                for &media_rate in &CHURN_MEDIA_RATES {
+                    cells.push(ChurnCell { devices, kill, media_rate });
+                }
+            }
+        }
+        cells
     }
-}
 
-/// The full churn sweep at an explicit worker count.
-pub fn churn_rows_with_workers(workers: usize) -> Vec<ChurnRow> {
-    let grid = churn_grid();
-    sweep_with_workers(&grid, workers, |_, cell| churn_row(cell))
-}
+    /// Includes the cell's own clean baseline (kill = none, RAS off).
+    fn row(cell: &ChurnCell) -> ChurnRow {
+        let clean_cell = ChurnCell { devices: cell.devices, kill: KillMode::None, media_rate: 0.0 };
+        let clean =
+            run_churn(&churn_cell_workload(&clean_cell)).expect("clean churn run completes");
+        let out = run_churn(&churn_cell_workload(cell)).expect("churn run completes");
+        // Every device must match the clean run except a dead, never-readmitted
+        // one (the broadcasts after its death never reached it).
+        let dead = match cell.kill {
+            KillMode::Lose => Some(cell.devices - 1),
+            _ => None,
+        };
+        let converged = out.pool_checksum == clean.pool_checksum
+            && (0..cell.devices)
+                .filter(|&d| Some(d) != dead)
+                .all(|d| out.device_checksums[d] == clean.device_checksums[d]);
+        ChurnRow {
+            devices: cell.devices as u64,
+            kill_mode: cell.kill.label().to_string(),
+            media_rate: cell.media_rate,
+            steps: out.report.steps,
+            down_events: out.report.down_events,
+            quarantines: out.report.quarantines,
+            readmits: out.report.readmits,
+            redistributed_lines: out.redistributed_lines,
+            typed_errors: out.typed_errors,
+            ras_faults_injected: out.report.ras.faults_injected,
+            ras_detected_by_scrub: out.report.ras.detected_by_scrub,
+            ras_detected_on_access: out.report.ras.detected_on_access,
+            ras_lines_retired: out.report.ras.lines_retired,
+            ras_rebuilds: out.report.ras.rebuilds,
+            cluster_time_ns: out.report.cluster_time_ns,
+            pool_checksum: out.pool_checksum,
+            clean_pool_checksum: clean.pool_checksum,
+            converged,
+        }
+    }
 
-/// The full churn sweep across all cores.
-pub fn churn_rows() -> Vec<ChurnRow> {
-    churn_rows_with_workers(teco_dl::num_cores())
-}
+    fn table(rows: &[ChurnRow]) -> String {
+        md_section(
+            "Fault domains: device loss and pool-media RAS under churn",
+            "churn",
+            &[
+                "devices",
+                "kill",
+                "media rate",
+                "down",
+                "readmits",
+                "rerouted lines",
+                "faults",
+                "retired",
+                "rebuilds",
+                "cluster ms",
+                "converged",
+            ],
+            rows.iter()
+                .map(|r| {
+                    vec![
+                        r.devices.to_string(),
+                        r.kill_mode.clone(),
+                        format!("{:.2}", r.media_rate),
+                        r.down_events.to_string(),
+                        r.readmits.to_string(),
+                        r.redistributed_lines.to_string(),
+                        r.ras_faults_injected.to_string(),
+                        r.ras_lines_retired.to_string(),
+                        r.ras_rebuilds.to_string(),
+                        format!("{:.3}", r.cluster_time_ns as f64 / 1e6),
+                        yes_no(r.converged),
+                    ]
+                })
+                .collect(),
+            "Each cell kills a device mid-run (watchdog-detected at the gradient\n\
+             fence), reroutes its shard through the survivors, and optionally\n\
+             hot-readmits it from the pooled optimizer state, while persistent\n\
+             media faults are scrubbed, retired to spares, and rebuilt from the\n\
+             clean pooled copy. \"converged\" means the pooled optimizer and every\n\
+             live replica ended byte-identical to the never-failed, fault-free run.",
+        )
+    }
 
-/// Reduce churn rows to the report renderer's plain points.
-pub fn churn_points(rows: &[ChurnRow]) -> Vec<ChurnPoint> {
-    rows.iter()
-        .map(|r| ChurnPoint {
-            devices: r.devices,
-            kill_mode: r.kill_mode.clone(),
-            media_rate: r.media_rate,
-            down_events: r.down_events,
-            readmits: r.readmits,
-            redistributed_lines: r.redistributed_lines,
-            faults_injected: r.ras_faults_injected,
-            lines_retired: r.ras_lines_retired,
-            rebuilds: r.ras_rebuilds,
-            cluster_time_ns: r.cluster_time_ns,
-            converged: r.converged,
-        })
-        .collect()
+    /// Every cell must converge to its clean baseline.
+    fn divergences(rows: &[ChurnRow]) -> Vec<String> {
+        rows.iter()
+            .filter(|r| !r.converged)
+            .map(|r| {
+                format!(
+                    "N={} kill={} rate={}: diverged from the clean baseline",
+                    r.devices, r.kill_mode, r.media_rate
+                )
+            })
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -706,31 +944,46 @@ pub const COLLECTIVE_MB: [u64; 3] = [1, 16, 64];
 /// The gradient content-stream seed.
 pub const COLLECTIVE_SEED: u64 = 42;
 /// Host counts the fabric anchor rows cover (H = 1 is the anchor that
-/// must collapse to the single-host `scaling_sweep` path).
+/// must collapse to the single-host scaling path).
 pub const FABRIC_HOSTS: [usize; 4] = [1, 2, 4, 8];
 /// Devices per host in the fabric anchor rows.
 pub const FABRIC_DEVICES: usize = 2;
 /// The fabric workload seed.
 pub const FABRIC_SEED: u64 = 42;
 
-/// One cell of the collective comparison grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CollectiveCell {
-    /// Hosts sharing the pool.
-    pub hosts: usize,
-    /// Per-host gradient size in MiB.
-    pub grad_mb: u64,
+/// Pool-staged inter-host all-reduce vs the NCCL-style point-to-point
+/// ring, plus the fabric anchor rows (H-host training fabrics over the
+/// shared pool). The pool path moves (2H−1)·G host↔pool port bytes, the
+/// ring 4(H−1)·G endpoint-port bytes; both reduce with the same
+/// wrapping-add kernel, so every cell must match bit for bit.
+pub struct CollectiveSweep;
+
+/// One cell of the collective sweep: a fabric anchor run, or one
+/// pool-vs-ring comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CollectiveCell {
+    /// An H-host training fabric checked against the standalone cluster
+    /// path.
+    Fabric {
+        /// Hosts in the fabric.
+        hosts: usize,
+    },
+    /// Pool-staged vs ring all-reduce.
+    Compare {
+        /// Hosts sharing the pool.
+        hosts: usize,
+        /// Per-host gradient size in MiB.
+        grad_mb: u64,
+    },
 }
 
-/// The grid: H ∈ {2, 4, 8} × G ∈ {1, 16, 64} MiB, hosts-major.
-pub fn collective_grid() -> Vec<CollectiveCell> {
-    let mut cells = Vec::new();
-    for &hosts in &COLLECTIVE_HOSTS {
-        for &grad_mb in &COLLECTIVE_MB {
-            cells.push(CollectiveCell { hosts, grad_mb });
-        }
-    }
-    cells
+/// One row of the collective sweep, of the same kind as its cell.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub enum CollectiveEntry {
+    /// A fabric anchor row.
+    Fabric(FabricRow),
+    /// A pool-vs-ring comparison row.
+    Compare(CollectiveRow),
 }
 
 /// The per-host gradient buffers of one cell, drawn from per-host forks
@@ -785,12 +1038,12 @@ pub struct CollectiveRow {
 /// formulaic gradients, reduces in place, and is summarized by checksum
 /// before the other starts — the 64 MiB × 8-host cell peaks at one input
 /// set, not two.
-pub fn collective_row(cell: &CollectiveCell) -> CollectiveRow {
-    let bytes = (cell.grad_mb << 20) as usize;
-    let cfg = CollectiveConfig::for_hosts(cell.hosts);
-    let ready = vec![SimTime::ZERO; cell.hosts];
+fn collective_row(hosts: usize, grad_mb: u64) -> CollectiveRow {
+    let bytes = (grad_mb << 20) as usize;
+    let cfg = CollectiveConfig::for_hosts(hosts);
+    let ready = vec![SimTime::ZERO; hosts];
 
-    let mut bufs = collective_inputs(cell.hosts, bytes);
+    let mut bufs = collective_inputs(hosts, bytes);
     let pool = PoolCollective::new(cfg)
         .and_then(|mut p| p.all_reduce(&mut bufs, &ready))
         .expect("pool all-reduce completes");
@@ -798,7 +1051,7 @@ pub fn collective_row(cell: &CollectiveCell) -> CollectiveRow {
     let all_equal = bufs.windows(2).all(|w| w[0] == w[1]);
     drop(bufs);
 
-    let mut bufs = collective_inputs(cell.hosts, bytes);
+    let mut bufs = collective_inputs(hosts, bytes);
     let ring = ring_all_reduce(&cfg, &mut bufs, &ready).expect("ring all-reduce completes");
     let ring_sum = fnv1a_hex(&bufs[0]);
     drop(bufs);
@@ -806,7 +1059,7 @@ pub fn collective_row(cell: &CollectiveCell) -> CollectiveRow {
     let pool_ns = (pool.completion - pool.start).as_ns();
     let ring_ns = (ring.completion - ring.start).as_ns();
     CollectiveRow {
-        hosts: cell.hosts as u64,
+        hosts: hosts as u64,
         grad_bytes: bytes as u64,
         pool_ns,
         ring_ns,
@@ -824,7 +1077,7 @@ pub fn collective_row(cell: &CollectiveCell) -> CollectiveRow {
 /// One fabric anchor row in `bench_results/collective_sweep.json`: an
 /// H-host training fabric over the shared pool, with the structural
 /// anchor asserted per row — host 0's cluster report is byte-identical
-/// to the standalone single-host path (`scaling_sweep`'s
+/// to the standalone single-host path (the scaling sweep's
 /// `run_cluster_uninterrupted`) at every H, and at H = 1 the whole
 /// fabric collapses to it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -859,9 +1112,8 @@ pub fn fabric_workload(hosts: usize) -> FabricWorkload {
 }
 
 /// Compute one fabric anchor row, including the standalone-cluster
-/// digest comparison (each row runs its own baseline, so rows are
-/// worker-independent).
-pub fn fabric_row(hosts: usize) -> FabricRow {
+/// digest comparison.
+fn fabric_row(hosts: usize) -> FabricRow {
     let w = fabric_workload(hosts);
     let fabric = run_fabric_uninterrupted(&w).expect("fabric run completes").report;
     let cluster = run_cluster_uninterrupted(&w.base).expect("cluster run completes").report;
@@ -882,84 +1134,133 @@ pub fn fabric_row(hosts: usize) -> FabricRow {
     }
 }
 
-/// Everything `collective_sweep` writes, as one JSON document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CollectiveSweep {
-    /// The fabric anchor rows, H ∈ {1, 2, 4, 8}.
-    pub fabric: Vec<FabricRow>,
-    /// The pool-vs-ring comparison grid.
-    pub collective: Vec<CollectiveRow>,
-}
-
-/// The full collective sweep at an explicit worker count.
-pub fn collective_sweep_with_workers(workers: usize) -> CollectiveSweep {
-    let fabric = sweep_with_workers(&FABRIC_HOSTS, workers, |_, &hosts| fabric_row(hosts));
-    let grid = collective_grid();
-    let collective = sweep_with_workers(&grid, workers, |_, cell| collective_row(cell));
-    CollectiveSweep { fabric, collective }
-}
-
-/// The full collective sweep across all cores.
-pub fn collective_sweep() -> CollectiveSweep {
-    collective_sweep_with_workers(teco_dl::num_cores())
-}
-
-/// Reduce collective rows to the report renderer's plain points.
-pub fn collective_points(rows: &[CollectiveRow]) -> Vec<CollectivePoint> {
-    rows.iter()
-        .map(|r| CollectivePoint {
-            hosts: r.hosts,
-            grad_bytes: r.grad_bytes,
-            pool_ns: r.pool_ns,
-            ring_ns: r.ring_ns,
-            speedup: r.speedup,
-            pool_port_bytes: r.pool_port_bytes,
-            ring_link_bytes: r.ring_link_bytes,
-            fanin_saved_bytes: r.fanin_saved_bytes,
-            results_match: r.results_match,
-        })
-        .collect()
-}
-
-/// The sweep's acceptance gate: every comparison cell must beat the ring
-/// on completion time *and* moved bytes with bit-identical results, and
-/// every fabric row must keep host 0 byte-identical to the standalone
-/// cluster path. Returns the offending descriptions (empty = pass).
-pub fn collective_divergences(sweep: &CollectiveSweep) -> Vec<String> {
-    let mut bad = Vec::new();
-    for r in &sweep.collective {
-        if !r.results_match {
-            bad.push(format!(
-                "H={} G={}MB: pool and ring bits diverge",
-                r.hosts,
-                r.grad_bytes >> 20
-            ));
-        }
-        if r.pool_ns >= r.ring_ns {
-            bad.push(format!(
-                "H={} G={}MB: pool {}ns not faster than ring {}ns",
-                r.hosts,
-                r.grad_bytes >> 20,
-                r.pool_ns,
-                r.ring_ns
-            ));
-        }
-        if r.pool_port_bytes >= r.ring_link_bytes {
-            bad.push(format!(
-                "H={} G={}MB: pool moved {} bytes, ring {}",
-                r.hosts,
-                r.grad_bytes >> 20,
-                r.pool_port_bytes,
-                r.ring_link_bytes
-            ));
+/// Split collective rows into the fabric anchor rows and the comparison
+/// rows, each in grid order.
+fn split_collective(rows: &[CollectiveEntry]) -> (Vec<&FabricRow>, Vec<&CollectiveRow>) {
+    let mut fabric = Vec::new();
+    let mut compare = Vec::new();
+    for r in rows {
+        match r {
+            CollectiveEntry::Fabric(f) => fabric.push(f),
+            CollectiveEntry::Compare(c) => compare.push(c),
         }
     }
-    for r in &sweep.fabric {
-        if !r.host0_matches_cluster {
-            bad.push(format!("H={}: host 0 diverged from the standalone cluster path", r.hosts));
+    (fabric, compare)
+}
+
+impl Sweep for CollectiveSweep {
+    const NAME: &'static str = "collective_sweep";
+    type Cell = CollectiveCell;
+    type Row = CollectiveEntry;
+
+    /// The fabric anchors H ∈ {1, 2, 4, 8}, then the comparison grid
+    /// H ∈ {2, 4, 8} × G ∈ {1, 16, 64} MiB, hosts-major.
+    fn grid() -> Vec<CollectiveCell> {
+        let mut cells: Vec<CollectiveCell> =
+            FABRIC_HOSTS.iter().map(|&hosts| CollectiveCell::Fabric { hosts }).collect();
+        for &hosts in &COLLECTIVE_HOSTS {
+            for &grad_mb in &COLLECTIVE_MB {
+                cells.push(CollectiveCell::Compare { hosts, grad_mb });
+            }
+        }
+        cells
+    }
+
+    fn row(cell: &CollectiveCell) -> CollectiveEntry {
+        match *cell {
+            CollectiveCell::Fabric { hosts } => CollectiveEntry::Fabric(fabric_row(hosts)),
+            CollectiveCell::Compare { hosts, grad_mb } => {
+                CollectiveEntry::Compare(collective_row(hosts, grad_mb))
+            }
         }
     }
-    bad
+
+    /// The comparison grid only; the fabric anchors are gated, not tabled.
+    fn table(rows: &[CollectiveEntry]) -> String {
+        let (_, compare) = split_collective(rows);
+        md_section(
+            "Inter-host all-reduce: pool-staged vs point-to-point ring",
+            "collective",
+            &[
+                "hosts",
+                "grad MB",
+                "pool ms",
+                "ring ms",
+                "speedup",
+                "pool port MB",
+                "ring link MB",
+                "fan-in saved MB",
+                "bits match",
+            ],
+            compare
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.hosts.to_string(),
+                        format!("{:.0}", r.grad_bytes as f64 / (1 << 20) as f64),
+                        format!("{:.3}", r.pool_ns as f64 / 1e6),
+                        format!("{:.3}", r.ring_ns as f64 / 1e6),
+                        format!("{:.2}", r.speedup),
+                        format!("{:.1}", r.pool_port_bytes as f64 / 1e6),
+                        format!("{:.1}", r.ring_link_bytes as f64 / 1e6),
+                        format!("{:.1}", r.fanin_saved_bytes as f64 / 1e6),
+                        yes_no(r.results_match),
+                    ]
+                })
+                .collect(),
+            "The pool path stages each host's gradient once and reads peers\n\
+             directly from the shared pool ((2H\u{2212}1)\u{b7}G port bytes, one staged\n\
+             write plus direct reads); the ring moves 4(H\u{2212}1)\u{b7}G endpoint-port\n\
+             bytes over 2(H\u{2212}1) bulk-synchronous hops. Both reduce with the same\n\
+             wrapping-add kernel, so \"bits match\" is exact equality of the\n\
+             reduced gradients. Fan-in savings are the pool-DRAM reads the\n\
+             switched multicast avoided during the gather phase.",
+        )
+    }
+
+    /// Every comparison cell must beat the ring on completion time *and*
+    /// moved bytes with bit-identical results, and every fabric row must
+    /// keep host 0 byte-identical to the standalone cluster path.
+    fn divergences(rows: &[CollectiveEntry]) -> Vec<String> {
+        let (fabric, compare) = split_collective(rows);
+        let mut bad = Vec::new();
+        for r in compare {
+            let cell = format!("H={} G={}MB", r.hosts, r.grad_bytes >> 20);
+            if !r.results_match {
+                bad.push(format!("{cell}: pool and ring bits diverge"));
+            }
+            if r.pool_ns >= r.ring_ns {
+                bad.push(format!(
+                    "{cell}: pool {}ns not faster than ring {}ns",
+                    r.pool_ns, r.ring_ns
+                ));
+            }
+            if r.pool_port_bytes >= r.ring_link_bytes {
+                bad.push(format!(
+                    "{cell}: pool moved {} bytes, ring {}",
+                    r.pool_port_bytes, r.ring_link_bytes
+                ));
+            }
+        }
+        for r in fabric {
+            if !r.host0_matches_cluster {
+                bad.push(format!(
+                    "H={}: host 0 diverged from the standalone cluster path",
+                    r.hosts
+                ));
+            }
+        }
+        bad
+    }
+
+    /// `{"fabric": [...], "collective": [...]}`.
+    fn json(rows: &[CollectiveEntry]) -> Value {
+        let (fabric, compare) = split_collective(rows);
+        Value::Object(vec![
+            ("fabric".to_string(), fabric.to_value()),
+            ("collective".to_string(), compare.to_value()),
+        ])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -987,6 +1288,13 @@ pub const CHAOS_CHUNK_BYTES: u64 = 64;
 /// Staging-media fault rates swept (faults per RAS tick).
 pub const CHAOS_MEDIA_RATES: [f64; 2] = [0.0, 1.0];
 
+/// Host loss and staging-media faults mid-all-reduce: a host killed at a
+/// chunk boundary is detected by the collective deadline watchdog, the
+/// survivors regroup H→H−1, and one full step later the host is
+/// hot-readmitted from the pooled parameter state; no poisoned byte may
+/// reach a reduction.
+pub struct FabricChaosSweep;
+
 /// Where (if anywhere) the scheduled host kill fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChaosKill {
@@ -999,7 +1307,7 @@ pub enum ChaosKill {
 }
 
 impl ChaosKill {
-    /// The label carried in rows, points, and the report table.
+    /// The label carried in rows and the report table.
     pub fn label(self) -> &'static str {
         match self {
             ChaosKill::None => "none",
@@ -1026,20 +1334,6 @@ pub struct ChaosCell {
     pub kill: ChaosKill,
     /// Staging-media faults per RAS tick.
     pub media_rate: f64,
-}
-
-/// The chaos grid, hosts-major: H ∈ {2, 4} × kill ∈ {none,
-/// reduce-scatter, all-gather} × media rate ∈ {0, 1}.
-pub fn chaos_grid() -> Vec<ChaosCell> {
-    let mut cells = Vec::new();
-    for &hosts in &CHAOS_HOSTS {
-        for &kill in &[ChaosKill::None, ChaosKill::ReduceScatter, ChaosKill::AllGather] {
-            for &media_rate in &CHAOS_MEDIA_RATES {
-                cells.push(ChaosCell { hosts, kill, media_rate });
-            }
-        }
-    }
-    cells
 }
 
 /// The fixed chaos workload for one cell. Kill cells lose their
@@ -1103,115 +1397,151 @@ pub struct ChaosRow {
     pub param_checksum: u64,
     /// The never-failed same-H golden's parameter checksum.
     pub golden_param_checksum: u64,
-    /// Byte-identity verdict against the golden (see [`chaos_row`]).
+    /// Byte-identity verdict against the golden (see
+    /// [`FabricChaosSweep`]'s `row`).
     pub converged: bool,
 }
 
-/// Compute one chaos row. Self-contained: the cell recomputes its own
-/// never-failed, fault-free same-H golden, so rows can run on any
-/// worker in any order.
-///
-/// `converged` requires zero poisoned bytes, the golden's parameter
-/// checksum, the golden's per-device content checksums (the readmitted
-/// host included), and golden per-step global-gradient checksums — the
-/// full run for fault-only cells, the pre-kill prefix for kill cells
-/// (the survivor accumulator restarts at the regroup; the post-kill
-/// tail is asserted against the never-failed H−1 fabric by the
-/// `fabric_chaos` acceptance suite, not re-derived here).
-pub fn chaos_row(cell: &ChaosCell) -> ChaosRow {
-    let golden_cell = ChaosCell { hosts: cell.hosts, kill: ChaosKill::None, media_rate: 0.0 };
-    let golden = run_fabric_chaos(&chaos_cell_workload(&golden_cell))
-        .expect("golden chaos run completes")
-        .outcome;
-    let out = run_fabric_chaos(&chaos_cell_workload(cell)).expect("chaos run completes").outcome;
-    let k = CHAOS_KILL_STEP as usize;
-    let grads_ok = match cell.kill {
-        ChaosKill::None => out.step_grad_checksums == golden.step_grad_checksums,
-        _ => out.step_grad_checksums[..k] == golden.step_grad_checksums[..k],
-    };
-    let converged = out.poisoned_admitted == 0
-        && grads_ok
-        && out.param_checksum == golden.param_checksum
-        && out.device_checksums == golden.device_checksums;
-    ChaosRow {
-        hosts: cell.hosts,
-        kill_phase: cell.kill.label().to_string(),
-        media_rate: cell.media_rate,
-        steps: out.report.steps,
-        detections: out.detections.len() as u64,
-        regroups: out.regroups,
-        readmissions: out.readmissions,
-        chunk_retries: out.fstats.chunk_retries,
-        media_detections: out.ras.detected_by_scrub + out.ras.detected_on_access,
-        ring_fallbacks: out.fstats.ring_fallbacks,
-        watchdog_timeouts: out.fstats.watchdog_timeouts,
-        ras_faults_injected: out.ras.faults_injected,
-        ras_lines_retired: out.ras.lines_retired,
-        poisoned_admitted: out.poisoned_admitted,
-        fabric_time_ns: out.report.fabric_time_ns,
-        param_checksum: out.param_checksum,
-        golden_param_checksum: golden.param_checksum,
-        converged,
-    }
-}
+impl Sweep for FabricChaosSweep {
+    const NAME: &'static str = "fabric_chaos_sweep";
+    type Cell = ChaosCell;
+    type Row = ChaosRow;
 
-/// All chaos rows at an explicit worker count.
-pub fn chaos_rows_with_workers(workers: usize) -> Vec<ChaosRow> {
-    let grid = chaos_grid();
-    sweep_with_workers(&grid, workers, |_, cell| chaos_row(cell))
-}
-
-/// All chaos rows across all cores.
-pub fn chaos_rows() -> Vec<ChaosRow> {
-    chaos_rows_with_workers(teco_dl::num_cores())
-}
-
-/// Reduce chaos rows to the report renderer's plain points.
-pub fn chaos_points(rows: &[ChaosRow]) -> Vec<ChaosPoint> {
-    rows.iter()
-        .map(|r| ChaosPoint {
-            hosts: r.hosts as u64,
-            kill_phase: r.kill_phase.clone(),
-            media_rate: r.media_rate,
-            detections: r.detections,
-            regroups: r.regroups,
-            readmissions: r.readmissions,
-            chunk_retries: r.chunk_retries,
-            media_detections: r.media_detections,
-            ring_fallbacks: r.ring_fallbacks,
-            poisoned_admitted: r.poisoned_admitted,
-            fabric_time_ns: r.fabric_time_ns,
-            converged: r.converged,
-        })
-        .collect()
-}
-
-/// The chaos sweep's acceptance gate: every cell byte-converged, zero
-/// poisoned bytes anywhere, kill cells saw exactly one detection, one
-/// regroup, and one readmission, never-failed cells saw none. Returns
-/// the offending descriptions (empty = pass).
-pub fn chaos_divergences(rows: &[ChaosRow]) -> Vec<String> {
-    let mut bad = Vec::new();
-    for r in rows {
-        let cell = format!("H={} kill={} rate={}", r.hosts, r.kill_phase, r.media_rate);
-        if !r.converged {
-            bad.push(format!("{cell}: diverged from the never-failed golden"));
-        }
-        if r.poisoned_admitted > 0 {
-            bad.push(format!("{cell}: {} poisoned bytes admitted", r.poisoned_admitted));
-        }
-        if r.kill_phase == "none" {
-            if r.detections != 0 || r.regroups != 0 || r.readmissions != 0 {
-                bad.push(format!("{cell}: spurious loss events on a kill-free cell"));
+    /// Hosts-major: H ∈ {2, 4} × kill ∈ {none, reduce-scatter,
+    /// all-gather} × media rate ∈ {0, 1}.
+    fn grid() -> Vec<ChaosCell> {
+        let mut cells = Vec::new();
+        for &hosts in &CHAOS_HOSTS {
+            for &kill in &[ChaosKill::None, ChaosKill::ReduceScatter, ChaosKill::AllGather] {
+                for &media_rate in &CHAOS_MEDIA_RATES {
+                    cells.push(ChaosCell { hosts, kill, media_rate });
+                }
             }
-        } else if r.detections != 1 || r.regroups != 1 || r.readmissions != 1 {
-            bad.push(format!(
-                "{cell}: detections={} regroups={} readmissions={} (want 1 each)",
-                r.detections, r.regroups, r.readmissions
-            ));
+        }
+        cells
+    }
+
+    /// The cell recomputes its own never-failed, fault-free same-H golden.
+    ///
+    /// `converged` requires zero poisoned bytes, the golden's parameter
+    /// checksum, the golden's per-device content checksums (the readmitted
+    /// host included), and golden per-step global-gradient checksums — the
+    /// full run for fault-only cells, the pre-kill prefix for kill cells
+    /// (the survivor accumulator restarts at the regroup; the post-kill
+    /// tail is asserted against the never-failed H−1 fabric by the
+    /// `fabric_chaos` acceptance suite, not re-derived here).
+    fn row(cell: &ChaosCell) -> ChaosRow {
+        let golden_cell = ChaosCell { hosts: cell.hosts, kill: ChaosKill::None, media_rate: 0.0 };
+        let golden = run_fabric_chaos(&chaos_cell_workload(&golden_cell))
+            .expect("golden chaos run completes")
+            .outcome;
+        let out =
+            run_fabric_chaos(&chaos_cell_workload(cell)).expect("chaos run completes").outcome;
+        let k = CHAOS_KILL_STEP as usize;
+        let grads_ok = match cell.kill {
+            ChaosKill::None => out.step_grad_checksums == golden.step_grad_checksums,
+            _ => out.step_grad_checksums[..k] == golden.step_grad_checksums[..k],
+        };
+        let converged = out.poisoned_admitted == 0
+            && grads_ok
+            && out.param_checksum == golden.param_checksum
+            && out.device_checksums == golden.device_checksums;
+        ChaosRow {
+            hosts: cell.hosts,
+            kill_phase: cell.kill.label().to_string(),
+            media_rate: cell.media_rate,
+            steps: out.report.steps,
+            detections: out.detections.len() as u64,
+            regroups: out.regroups,
+            readmissions: out.readmissions,
+            chunk_retries: out.fstats.chunk_retries,
+            media_detections: out.ras.detected_by_scrub + out.ras.detected_on_access,
+            ring_fallbacks: out.fstats.ring_fallbacks,
+            watchdog_timeouts: out.fstats.watchdog_timeouts,
+            ras_faults_injected: out.ras.faults_injected,
+            ras_lines_retired: out.ras.lines_retired,
+            poisoned_admitted: out.poisoned_admitted,
+            fabric_time_ns: out.report.fabric_time_ns,
+            param_checksum: out.param_checksum,
+            golden_param_checksum: golden.param_checksum,
+            converged,
         }
     }
-    bad
+
+    fn table(rows: &[ChaosRow]) -> String {
+        md_section(
+            "Fabric chaos: host loss and media faults mid-all-reduce",
+            "chaos",
+            &[
+                "hosts",
+                "kill phase",
+                "media rate",
+                "detected",
+                "regroups",
+                "readmits",
+                "retries",
+                "media det",
+                "ring falls",
+                "poisoned",
+                "fabric ms",
+                "converged",
+            ],
+            rows.iter()
+                .map(|r| {
+                    vec![
+                        r.hosts.to_string(),
+                        r.kill_phase.clone(),
+                        format!("{:.2}", r.media_rate),
+                        r.detections.to_string(),
+                        r.regroups.to_string(),
+                        r.readmissions.to_string(),
+                        r.chunk_retries.to_string(),
+                        r.media_detections.to_string(),
+                        r.ring_fallbacks.to_string(),
+                        r.poisoned_admitted.to_string(),
+                        format!("{:.3}", r.fabric_time_ns as f64 / 1e6),
+                        yes_no(r.converged),
+                    ]
+                })
+                .collect(),
+            "Each cell kills a host at a chunk boundary of one step's all-reduce\n\
+             and/or injects persistent staging-media faults. The collective\n\
+             deadline watchdog detects the loss, the fabric walks the degradation\n\
+             ladder (per-chunk checksummed retry \u{2192} survivor regroup \u{2192} ring\n\
+             fallback under retirement pressure), and the lost host hot-readmits\n\
+             from pooled state. \"converged\" means the regrouped reduces and the\n\
+             final parameters stayed byte-identical to the matching never-failed\n\
+             fabric; \"poisoned\" counts corrupt bytes admitted to a reduction and\n\
+             must be zero in every cell.",
+        )
+    }
+
+    /// Every cell byte-converged, zero poisoned bytes anywhere, kill cells
+    /// saw exactly one detection, one regroup, and one readmission,
+    /// never-failed cells saw none.
+    fn divergences(rows: &[ChaosRow]) -> Vec<String> {
+        let mut bad = Vec::new();
+        for r in rows {
+            let cell = format!("H={} kill={} rate={}", r.hosts, r.kill_phase, r.media_rate);
+            if !r.converged {
+                bad.push(format!("{cell}: diverged from the never-failed golden"));
+            }
+            if r.poisoned_admitted > 0 {
+                bad.push(format!("{cell}: {} poisoned bytes admitted", r.poisoned_admitted));
+            }
+            if r.kill_phase == "none" {
+                if r.detections != 0 || r.regroups != 0 || r.readmissions != 0 {
+                    bad.push(format!("{cell}: spurious loss events on a kill-free cell"));
+                }
+            } else if r.detections != 1 || r.regroups != 1 || r.readmissions != 1 {
+                bad.push(format!(
+                    "{cell}: detections={} regroups={} readmissions={} (want 1 each)",
+                    r.detections, r.regroups, r.readmissions
+                ));
+            }
+        }
+        bad
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1227,6 +1557,11 @@ pub const PLACEMENT_CACHE_BYTES: u64 = 1 << 20;
 /// The BO autotuner's fixed seed.
 pub const PLACEMENT_SEED: u64 = 11;
 
+/// Every Table III model under the explicit single-tier policy instance
+/// and the non-default tiered policy, each row carrying the BO-autotuned
+/// giant-cache size next to the published Table III setting.
+pub struct PlacementSweep;
+
 /// One cell of the placement grid.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementCell {
@@ -1234,18 +1569,6 @@ pub struct PlacementCell {
     pub model: String,
     /// Tiered policy instead of the explicit single-tier instance?
     pub tiered: bool,
-}
-
-/// The placement grid, model-major: each Table III model under the
-/// explicit single-tier policy instance, then the tiered policy.
-pub fn placement_grid() -> Vec<PlacementCell> {
-    let mut cells = Vec::new();
-    for spec in ModelSpec::table3() {
-        for &tiered in &[false, true] {
-            cells.push(PlacementCell { model: spec.name.to_string(), tiered });
-        }
-    }
-    cells
 }
 
 /// The non-default tiering policy every tiered cell runs: a small
@@ -1296,59 +1619,14 @@ pub struct PlacementRow {
     /// Link bytes device→CPU (gradient direction).
     pub bytes_to_host: u64,
     /// FNV-1a 64 over the serialized session snapshot — the byte-identity
-    /// witness the CI placement-smoke job diffs run-to-run.
+    /// witness the CI sweeps job diffs run-to-run.
     pub snapshot_digest: String,
-}
-
-/// Run one model's scaled workload under one explicit placement policy
-/// and serialize the end state. Self-contained like every other sweep
-/// row: the cell derives its own shapes and policy from the grid cell.
-pub fn placement_row(cell: &PlacementCell) -> PlacementRow {
-    let spec = ModelSpec::by_name(&cell.model).expect("placement cell names a known model");
-    let policy = if cell.tiered {
-        PlacementPolicy::Tiered(placement_tiered_policy())
-    } else {
-        PlacementPolicy::SingleTier
-    };
-    let (s, now) = run_placement_workload(&spec, TecoConfig::default().with_placement(policy));
-    let tune = autotune_giant_cache(&spec, PLACEMENT_SEED);
-    let (device_bytes, giant_cache_bytes, host_dram_bytes, migrations, migrated_bytes) =
-        match s.placement() {
-            Some(engine) => {
-                let map = engine.map();
-                let st = engine.stats();
-                (
-                    map.used(teco_mem::Tier::Device),
-                    map.used(teco_mem::Tier::GiantCache),
-                    map.used(teco_mem::Tier::HostDram),
-                    st.migrations,
-                    st.migrated_bytes,
-                )
-            }
-            None => (0, s.giant_cache().allocated(), 0, 0, 0),
-        };
-    let snap_json = serde_json::to_string(&s.snapshot()).expect("serialize snapshot");
-    PlacementRow {
-        model: cell.model.clone(),
-        policy: if cell.tiered { "tiered" } else { "single-tier" }.to_string(),
-        autotuned_mb: tune.tuned_mb,
-        table3_mb: tune.table3_mb,
-        sim_time_ns: now.as_ns(),
-        device_bytes,
-        giant_cache_bytes,
-        host_dram_bytes,
-        migrations,
-        migrated_bytes,
-        bytes_to_device: s.stats().bytes_to_device,
-        bytes_to_host: s.stats().bytes_to_host,
-        snapshot_digest: fnv1a_hex(snap_json.as_bytes()),
-    }
 }
 
 /// The fixed placement workload: params (broadcast-mostly), grads
 /// (write-once per step), and optimizer moments (write-mostly) pushed for
 /// [`PLACEMENT_STEPS`] steps with DBA activating mid-run.
-pub fn run_placement_workload(spec: &ModelSpec, cfg: TecoConfig) -> (TecoSession, SimTime) {
+fn run_placement_workload(spec: &ModelSpec, cfg: TecoConfig) -> (TecoSession, SimTime) {
     let (param_lines, grad_lines, moment_bytes) = placement_shapes(spec);
     let cfg = cfg
         .with_giant_cache_bytes(PLACEMENT_CACHE_BYTES)
@@ -1375,90 +1653,367 @@ pub fn run_placement_workload(spec: &ModelSpec, cfg: TecoConfig) -> (TecoSession
     (s, now)
 }
 
-/// All placement rows at an explicit worker count.
-pub fn placement_rows_with_workers(workers: usize) -> Vec<PlacementRow> {
-    let grid = placement_grid();
-    sweep_with_workers(&grid, workers, |_, cell| placement_row(cell))
-}
+impl Sweep for PlacementSweep {
+    const NAME: &'static str = "placement_sweep";
+    type Cell = PlacementCell;
+    type Row = PlacementRow;
 
-/// All placement rows across all cores.
-pub fn placement_rows() -> Vec<PlacementRow> {
-    placement_rows_with_workers(teco_dl::num_cores())
-}
-
-/// Reduce placement rows to the report renderer's plain points.
-pub fn placement_points(rows: &[PlacementRow]) -> Vec<PlacementPoint> {
-    rows.iter()
-        .map(|r| PlacementPoint {
-            model: r.model.clone(),
-            policy: r.policy.clone(),
-            autotuned_mb: r.autotuned_mb,
-            table3_mb: r.table3_mb,
-            device_bytes: r.device_bytes,
-            giant_cache_bytes: r.giant_cache_bytes,
-            host_dram_bytes: r.host_dram_bytes,
-            migrations: r.migrations,
-            migrated_bytes: r.migrated_bytes,
-            link_param_bytes: r.bytes_to_device,
-            link_grad_bytes: r.bytes_to_host,
-            snapshot_digest: r.snapshot_digest.clone(),
-        })
-        .collect()
-}
-
-/// The placement sweep's acceptance gate:
-///
-/// 1. every single-tier row is byte-identical to a freshly-run session
-///    whose config never mentions placement at all (the explicit
-///    `SingleTier` policy instance *is* the legacy layout);
-/// 2. every tiered row demonstrably changes placement — bytes resident
-///    outside the giant cache, and a snapshot digest different from its
-///    single-tier sibling;
-/// 3. the autotuned giant-cache size tracks Table III within ratio
-///    [0.7, 1.4] on every row.
-///
-/// Returns the offending descriptions (empty = pass).
-pub fn placement_divergences(rows: &[PlacementRow]) -> Vec<String> {
-    let mut bad = Vec::new();
-    for r in rows {
-        let cell = format!("model={} policy={}", r.model, r.policy);
-        let ratio = r.autotuned_mb as f64 / r.table3_mb as f64;
-        if !(0.7..=1.4).contains(&ratio) {
-            bad.push(format!(
-                "{cell}: autotuned {} MB strays from Table III {} MB",
-                r.autotuned_mb, r.table3_mb
-            ));
+    /// Model-major: each Table III model under the explicit single-tier
+    /// policy instance, then the tiered policy.
+    fn grid() -> Vec<PlacementCell> {
+        let mut cells = Vec::new();
+        for spec in ModelSpec::table3() {
+            for &tiered in &[false, true] {
+                cells.push(PlacementCell { model: spec.name.to_string(), tiered });
+            }
         }
-        if r.policy == "single-tier" {
-            let spec = ModelSpec::by_name(&r.model).expect("known model");
-            let (s, _) = run_placement_workload(&spec, TecoConfig::default());
-            let legacy =
-                fnv1a_hex(serde_json::to_string(&s.snapshot()).expect("serialize").as_bytes());
-            if r.snapshot_digest != legacy {
-                bad.push(format!(
-                    "{cell}: explicit single-tier digest {} != legacy default {legacy}",
-                    r.snapshot_digest
-                ));
-            }
-            if r.device_bytes != 0 || r.host_dram_bytes != 0 || r.migrations != 0 {
-                bad.push(format!("{cell}: single-tier row placed bytes outside the giant cache"));
-            }
+        cells
+    }
+
+    fn row(cell: &PlacementCell) -> PlacementRow {
+        let spec = ModelSpec::by_name(&cell.model).expect("placement cell names a known model");
+        let policy = if cell.tiered {
+            PlacementPolicy::Tiered(placement_tiered_policy())
         } else {
-            if r.device_bytes + r.host_dram_bytes == 0 {
-                bad.push(format!("{cell}: tiered row placed nothing outside the giant cache"));
-            }
-            if let Some(single) =
-                rows.iter().find(|s| s.model == r.model && s.policy == "single-tier")
-            {
-                if single.snapshot_digest == r.snapshot_digest {
-                    bad.push(format!("{cell}: tiered digest equals the single-tier digest"));
+            PlacementPolicy::SingleTier
+        };
+        let (s, now) = run_placement_workload(&spec, TecoConfig::default().with_placement(policy));
+        let tune = autotune_giant_cache(&spec, PLACEMENT_SEED);
+        let (device_bytes, giant_cache_bytes, host_dram_bytes, migrations, migrated_bytes) =
+            match s.placement() {
+                Some(engine) => {
+                    let map = engine.map();
+                    let st = engine.stats();
+                    (
+                        map.used(teco_mem::Tier::Device),
+                        map.used(teco_mem::Tier::GiantCache),
+                        map.used(teco_mem::Tier::HostDram),
+                        st.migrations,
+                        st.migrated_bytes,
+                    )
                 }
-            } else {
-                bad.push(format!("{cell}: no single-tier sibling row"));
-            }
+                None => (0, s.giant_cache().allocated(), 0, 0, 0),
+            };
+        let snap_json = serde_json::to_string(&s.snapshot()).expect("serialize snapshot");
+        PlacementRow {
+            model: cell.model.clone(),
+            policy: if cell.tiered { "tiered" } else { "single-tier" }.to_string(),
+            autotuned_mb: tune.tuned_mb,
+            table3_mb: tune.table3_mb,
+            sim_time_ns: now.as_ns(),
+            device_bytes,
+            giant_cache_bytes,
+            host_dram_bytes,
+            migrations,
+            migrated_bytes,
+            bytes_to_device: s.stats().bytes_to_device,
+            bytes_to_host: s.stats().bytes_to_host,
+            snapshot_digest: fnv1a_hex(snap_json.as_bytes()),
         }
     }
-    bad
+
+    fn table(rows: &[PlacementRow]) -> String {
+        md_section(
+            "Tiered tensor placement: device / giant cache / host DRAM",
+            "placement",
+            &[
+                "model",
+                "policy",
+                "tuned MB",
+                "Table III MB",
+                "device B",
+                "cache B",
+                "host B",
+                "migrations",
+                "migrated B",
+                "param link B",
+                "grad link B",
+                "snapshot",
+            ],
+            rows.iter()
+                .map(|r| {
+                    vec![
+                        r.model.clone(),
+                        r.policy.clone(),
+                        r.autotuned_mb.to_string(),
+                        r.table3_mb.to_string(),
+                        r.device_bytes.to_string(),
+                        r.giant_cache_bytes.to_string(),
+                        r.host_dram_bytes.to_string(),
+                        r.migrations.to_string(),
+                        r.migrated_bytes.to_string(),
+                        r.bytes_to_device.to_string(),
+                        r.bytes_to_host.to_string(),
+                        r.snapshot_digest.clone(),
+                    ]
+                })
+                .collect(),
+            "Each row trains one scaled-down model under one placement policy.\n\
+             Single-tier is the legacy layout (everything in the giant cache, no\n\
+             placement engine constructed); tiered splits tensors by class —\n\
+             small hot tensors pin device-resident, params and grads stage in\n\
+             the CXL giant cache, optimizer moments spill to plain host DRAM —\n\
+             and migrates across tiers only at step boundaries. \"tuned MB\" is\n\
+             the BO-sized giant cache next to the published Table III setting;\n\
+             the snapshot digest proves run-to-run byte reproducibility.",
+        )
+    }
+
+    /// 1. every single-tier row is byte-identical to a freshly-run session
+    ///    whose config never mentions placement at all (the explicit
+    ///    `SingleTier` policy instance *is* the legacy layout);
+    /// 2. every tiered row demonstrably changes placement — bytes resident
+    ///    outside the giant cache, and a snapshot digest different from its
+    ///    single-tier sibling;
+    /// 3. the autotuned giant-cache size tracks Table III within ratio
+    ///    [0.7, 1.4] on every row;
+    /// 4. the default tiered policy is not slower than single-tier on the
+    ///    GPT-2 workload (spilling write-mostly optimizer moments to plain
+    ///    host DRAM rides the faster pool link; it must never cost step
+    ///    time).
+    fn divergences(rows: &[PlacementRow]) -> Vec<String> {
+        let mut bad = Vec::new();
+        for r in rows {
+            let cell = format!("model={} policy={}", r.model, r.policy);
+            let ratio = r.autotuned_mb as f64 / r.table3_mb as f64;
+            if !(0.7..=1.4).contains(&ratio) {
+                bad.push(format!(
+                    "{cell}: autotuned {} MB strays from Table III {} MB",
+                    r.autotuned_mb, r.table3_mb
+                ));
+            }
+            if r.policy == "single-tier" {
+                let spec = ModelSpec::by_name(&r.model).expect("known model");
+                let (s, _) = run_placement_workload(&spec, TecoConfig::default());
+                let legacy =
+                    fnv1a_hex(serde_json::to_string(&s.snapshot()).expect("serialize").as_bytes());
+                if r.snapshot_digest != legacy {
+                    bad.push(format!(
+                        "{cell}: explicit single-tier digest {} != legacy default {legacy}",
+                        r.snapshot_digest
+                    ));
+                }
+                if r.device_bytes != 0 || r.host_dram_bytes != 0 || r.migrations != 0 {
+                    bad.push(format!(
+                        "{cell}: single-tier row placed bytes outside the giant cache"
+                    ));
+                }
+            } else {
+                if r.device_bytes + r.host_dram_bytes == 0 {
+                    bad.push(format!("{cell}: tiered row placed nothing outside the giant cache"));
+                }
+                if let Some(single) =
+                    rows.iter().find(|s| s.model == r.model && s.policy == "single-tier")
+                {
+                    if single.snapshot_digest == r.snapshot_digest {
+                        bad.push(format!("{cell}: tiered digest equals the single-tier digest"));
+                    }
+                } else {
+                    bad.push(format!("{cell}: no single-tier sibling row"));
+                }
+            }
+        }
+        let gpt2 = ModelSpec::gpt2();
+        let (_, single) = run_placement_workload(&gpt2, TecoConfig::default());
+        let tiered_default = PlacementPolicy::Tiered(TieredPolicy::default());
+        let (_, tiered) =
+            run_placement_workload(&gpt2, TecoConfig::default().with_placement(tiered_default));
+        if tiered > single {
+            bad.push(format!(
+                "GPT-2: tiered default {} ns slower than single-tier {} ns",
+                tiered.as_ns(),
+                single.as_ns()
+            ));
+        }
+        bad
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Soak resume (kill + resume at step boundaries)
+// ---------------------------------------------------------------------------
+
+/// The seed of every soak workload.
+pub const SOAK_SEED: u64 = 7;
+
+/// The crash/resume path: each cell runs a fixed-seed workload
+/// uninterrupted, then kills and resumes it at one step boundary, and the
+/// resumed run's JSON report must be byte-identical to the uninterrupted
+/// run's, with clean audits.
+pub struct SoakResume;
+
+/// The workload configurations the soak covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SoakWorkload {
+    /// No fault model.
+    ZeroFault,
+    /// CRC retries, stalls, DBA checksum errors and poison, so the fault
+    /// injector's RNG is mid-schedule at the kill.
+    Faulty,
+    /// The paranoid auditor on; its final invariant walk must be clean.
+    Audited,
+}
+
+impl SoakWorkload {
+    fn label(self) -> &'static str {
+        match self {
+            SoakWorkload::ZeroFault => "zero-fault",
+            SoakWorkload::Faulty => "faulty",
+            SoakWorkload::Audited => "audited",
+        }
+    }
+
+    fn workload(self) -> ResumeWorkload {
+        let mut w = ResumeWorkload::small(SOAK_SEED);
+        match self {
+            SoakWorkload::ZeroFault => {}
+            SoakWorkload::Faulty => {
+                w.cfg = w.cfg.with_fault(FaultConfig {
+                    crc_error_rate: 0.25,
+                    stall_rate: 0.1,
+                    stall_ns: 40,
+                    dba_checksum_error_rate: 0.2,
+                    poison_rate: 0.02,
+                    retry_limit: 64,
+                    seed: 1234,
+                    ..FaultConfig::off()
+                })
+            }
+            SoakWorkload::Audited => w.cfg = w.cfg.clone().with_audit(true),
+        }
+        w
+    }
+}
+
+/// One soak cell: a workload killed at one boundary of one step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SoakCell {
+    /// The workload configuration.
+    pub workload: SoakWorkload,
+    /// Where the kill lands.
+    pub kill: KillPoint,
+}
+
+/// One row of `bench_results/soak_resume.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SoakRow {
+    /// Workload label.
+    pub workload: String,
+    /// Step the kill landed in.
+    pub kill_step: u64,
+    /// Boundary label within that step.
+    pub boundary: String,
+    /// Bytes of the resumed run's JSON report.
+    pub report_bytes: u64,
+    /// Bytes of the snapshot image the run was restored from.
+    pub snapshot_bytes: u64,
+    /// Snapshots the harness took.
+    pub snapshots_taken: u64,
+    /// Restores the harness performed.
+    pub restores: u64,
+    /// Is the resumed report byte-identical to the uninterrupted one?
+    pub byte_identical: bool,
+    /// Was the paranoid auditor on?
+    pub audit_enabled: bool,
+    /// Did the audit walks of both the uninterrupted and the resumed run
+    /// come back clean?
+    pub audit_clean: bool,
+}
+
+fn boundary_label(b: StepBoundary) -> &'static str {
+    match b {
+        StepBoundary::AfterGradFence => "after-grad-fence",
+        StepBoundary::AfterActivation => "after-activation",
+        StepBoundary::AfterParamFence => "after-param-fence",
+    }
+}
+
+impl Sweep for SoakResume {
+    const NAME: &'static str = "soak_resume";
+    type Cell = SoakCell;
+    type Row = SoakRow;
+
+    /// Workload-major: every boundary of the first, a middle, and the last
+    /// step.
+    fn grid() -> Vec<SoakCell> {
+        let steps = ResumeWorkload::small(SOAK_SEED).steps;
+        let mut cells = Vec::new();
+        for workload in [SoakWorkload::ZeroFault, SoakWorkload::Faulty, SoakWorkload::Audited] {
+            for step in [0, steps / 2, steps - 1] {
+                for boundary in [
+                    StepBoundary::AfterGradFence,
+                    StepBoundary::AfterActivation,
+                    StepBoundary::AfterParamFence,
+                ] {
+                    cells.push(SoakCell { workload, kill: KillPoint { step, boundary } });
+                }
+            }
+        }
+        cells
+    }
+
+    fn row(cell: &SoakCell) -> SoakRow {
+        let w = cell.workload.workload();
+        let baseline = run_uninterrupted(&w).expect("uninterrupted run completes");
+        let resumed = run_resumed(&w, cell.kill).expect("resumed run completes");
+        let base_json = serde_json::to_string(&baseline.report).expect("serialize baseline");
+        let resumed_json = serde_json::to_string(&resumed.report).expect("serialize resumed");
+        SoakRow {
+            workload: cell.workload.label().to_string(),
+            kill_step: cell.kill.step,
+            boundary: boundary_label(cell.kill.boundary).to_string(),
+            report_bytes: resumed_json.len() as u64,
+            snapshot_bytes: resumed.snapshot_bytes,
+            snapshots_taken: resumed.snapshots_taken,
+            restores: resumed.restores,
+            byte_identical: resumed_json == base_json,
+            audit_enabled: resumed.report.audit_enabled,
+            audit_clean: baseline.last_audit_error.is_none() && resumed.last_audit_error.is_none(),
+        }
+    }
+
+    fn table(rows: &[SoakRow]) -> String {
+        md_section(
+            "Kill+resume soak: three boundaries \u{d7} three steps \u{d7} three workloads",
+            "soak",
+            &[
+                "workload",
+                "kill step",
+                "boundary",
+                "snapshot bytes",
+                "byte-identical",
+                "audit clean",
+            ],
+            rows.iter()
+                .map(|r| {
+                    vec![
+                        r.workload.clone(),
+                        r.kill_step.to_string(),
+                        r.boundary.clone(),
+                        r.snapshot_bytes.to_string(),
+                        yes_no(r.byte_identical),
+                        yes_no(r.audit_clean),
+                    ]
+                })
+                .collect(),
+            "Each cell kills the run at one step boundary, restores it from nothing\n\
+             but the serialized snapshot, and finishes; the resumed report must be\n\
+             byte-identical to the uninterrupted run's and every audit walk clean.",
+        )
+    }
+
+    /// Every kill point resumes byte-identically with clean audits.
+    fn divergences(rows: &[SoakRow]) -> Vec<String> {
+        rows.iter()
+            .filter(|r| !r.byte_identical || !r.audit_clean)
+            .map(|r| {
+                format!(
+                    "{} kill at step {} {}: byte-identical={} audit clean={}",
+                    r.workload, r.kill_step, r.boundary, r.byte_identical, r.audit_clean
+                )
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1467,16 +2022,32 @@ mod tests {
 
     #[test]
     fn grids_have_expected_shape() {
-        assert_eq!(fault_grid().len(), 8);
-        assert_eq!(scaling_grid().len(), 12);
+        assert_eq!(FaultSweep::grid().len(), 8);
+        let scaling = ScalingSweep::grid();
+        assert_eq!(scaling.len(), 12);
         // Devices-major order, the order the JSON has always carried.
-        assert_eq!(scaling_grid()[0], ScalingCell { devices: 1, batch: 4 });
-        assert_eq!(scaling_grid()[3], ScalingCell { devices: 2, batch: 4 });
+        assert_eq!(scaling[0], ScalingCell { devices: 1, batch: 4 });
+        assert_eq!(scaling[3], ScalingCell { devices: 2, batch: 4 });
+        assert_eq!(SoakResume::grid().len(), 27);
+        let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            [
+                "fault_sweep",
+                "scaling_sweep",
+                "datapath_sweep",
+                "churn_sweep",
+                "collective_sweep",
+                "fabric_chaos_sweep",
+                "placement_sweep",
+                "soak_resume"
+            ]
+        );
     }
 
     #[test]
     fn one_device_cell_is_its_own_baseline() {
-        let row = scaling_row(&ScalingCell { devices: 1, batch: 4 });
+        let row = ScalingSweep::row(&ScalingCell { devices: 1, batch: 4 });
         assert_eq!(row.cluster_time_ns, row.one_device_time_ns);
         assert_eq!(row.speedup_vs_one, 1.0);
         assert_eq!(row.efficiency_pct, 100.0);
@@ -1485,7 +2056,7 @@ mod tests {
 
     #[test]
     fn datapath_grid_is_protocol_major() {
-        let grid = datapath_grid();
+        let grid = DatapathSweep::grid();
         assert_eq!(grid.len(), 4);
         assert_eq!(grid[0], DatapathCell { faulty: false, invalidation: false });
         assert_eq!(grid[1], DatapathCell { faulty: true, invalidation: false });
@@ -1494,20 +2065,20 @@ mod tests {
 
     #[test]
     fn datapath_row_matches_committed_digest_in_miniature() {
-        // One faulty cell end to end — the full grid runs in the
-        // datapath_sweep binary and the CI datapath-smoke job. The digest
-        // is the cell's row in bench_results/datapath_sweep.json.
-        let row = datapath_row(&DatapathCell { faulty: true, invalidation: false });
+        // One faulty cell end to end — the full grid runs in `sweep
+        // datapath_sweep` and the CI sweeps job. The digest is the cell's
+        // row in bench_results/datapath_sweep.json.
+        let row = DatapathSweep::row(&DatapathCell { faulty: true, invalidation: false });
         assert_eq!(row.snapshot_digest, "cd1f9843dc5b8650");
         assert!(row.link_retries > 0, "fault model should have fired");
     }
 
     #[test]
     fn churn_grid_shape_and_none_cell_is_clean() {
-        let grid = churn_grid();
+        let grid = ChurnSweep::grid();
         assert_eq!(grid.len(), 12);
         assert_eq!(grid[0], ChurnCell { devices: 2, kill: KillMode::None, media_rate: 0.0 });
-        let row = churn_row(&grid[0]);
+        let row = ChurnSweep::row(&grid[0]);
         assert_eq!(row.down_events, 0);
         assert_eq!(row.redistributed_lines, 0);
         assert_eq!(row.pool_checksum, row.clean_pool_checksum);
@@ -1516,21 +2087,26 @@ mod tests {
 
     #[test]
     fn churn_readmit_cell_converges_under_media_faults() {
-        let row = churn_row(&ChurnCell { devices: 2, kill: KillMode::Readmit, media_rate: 1.0 });
+        let row =
+            ChurnSweep::row(&ChurnCell { devices: 2, kill: KillMode::Readmit, media_rate: 1.0 });
         assert_eq!(row.down_events, 1);
         assert_eq!(row.readmits, 1);
         assert!(row.typed_errors >= 1, "kill must surface typed");
         assert!(row.redistributed_lines > 0);
         assert!(row.ras_faults_injected > 0, "media faults must fire");
         assert!(row.converged, "readmitted cell must converge to clean baseline");
+        assert_eq!(ChurnSweep::divergences(&[row]), Vec::<String>::new());
     }
 
     #[test]
     fn collective_grid_shape_and_small_cell_beats_ring() {
-        let grid = collective_grid();
-        assert_eq!(grid.len(), 9);
-        assert_eq!(grid[0], CollectiveCell { hosts: 2, grad_mb: 1 });
-        let row = collective_row(&grid[0]);
+        let grid = CollectiveSweep::grid();
+        assert_eq!(grid.len(), 13);
+        assert_eq!(grid[0], CollectiveCell::Fabric { hosts: 1 });
+        assert_eq!(grid[4], CollectiveCell::Compare { hosts: 2, grad_mb: 1 });
+        let CollectiveEntry::Compare(row) = CollectiveSweep::row(&grid[4]) else {
+            panic!("a comparison cell yields a comparison row");
+        };
         assert!(row.results_match, "pool and ring must agree bit for bit");
         assert!(row.speedup > 1.0, "pool must beat the ring: {row:?}");
         assert!(row.byte_ratio > 1.0, "pool must move fewer bytes: {row:?}");
@@ -1540,66 +2116,85 @@ mod tests {
 
     #[test]
     fn fabric_anchor_holds_at_one_host_and_four() {
-        let one = fabric_row(1);
+        let rows: Vec<CollectiveEntry> = [1, 4]
+            .iter()
+            .map(|&hosts| CollectiveSweep::row(&CollectiveCell::Fabric { hosts }))
+            .collect();
+        let (fabric, _) = split_collective(&rows);
+        let (one, four) = (fabric[0], fabric[1]);
         assert!(one.host0_matches_cluster, "H=1 must collapse to the cluster path");
         assert_eq!(one.exchange_ns, 0);
         assert_eq!(one.pool_port_bytes, 0);
-        let four = fabric_row(4);
         assert!(four.host0_matches_cluster, "host 0 must stay unperturbed at H=4");
         assert!(four.exchange_ns > 0);
         assert!(four.fanin_saved_bytes > 0);
-        let sweep = CollectiveSweep { fabric: vec![one, four], collective: Vec::new() };
-        assert_eq!(collective_divergences(&sweep), Vec::<String>::new());
+        assert_eq!(CollectiveSweep::divergences(&rows), Vec::<String>::new());
     }
 
     #[test]
     fn chaos_grid_shape_and_kill_cell_converges() {
-        let grid = chaos_grid();
+        let grid = FabricChaosSweep::grid();
         assert_eq!(grid.len(), 12);
         assert_eq!(grid[0], ChaosCell { hosts: 2, kill: ChaosKill::None, media_rate: 0.0 });
-        // One kill cell end to end — the full grid runs in the
-        // fabric_chaos_sweep binary and the CI fabric-chaos-smoke job.
-        let row =
-            chaos_row(&ChaosCell { hosts: 2, kill: ChaosKill::ReduceScatter, media_rate: 1.0 });
+        // One kill cell end to end — the full grid runs in `sweep
+        // fabric_chaos_sweep` and the CI sweeps job.
+        let row = FabricChaosSweep::row(&ChaosCell {
+            hosts: 2,
+            kill: ChaosKill::ReduceScatter,
+            media_rate: 1.0,
+        });
         assert_eq!(row.detections, 1);
         assert_eq!(row.regroups, 1);
         assert_eq!(row.readmissions, 1);
         assert!(row.ras_faults_injected > 0, "media faults must fire");
         assert_eq!(row.poisoned_admitted, 0);
         assert!(row.converged, "kill cell must converge to the never-failed golden");
-        assert_eq!(chaos_divergences(&[row]), Vec::<String>::new());
+        assert_eq!(FabricChaosSweep::divergences(&[row]), Vec::<String>::new());
     }
 
     #[test]
     fn placement_grid_shape_and_tiered_cell_changes_placement() {
-        let grid = placement_grid();
+        let grid = PlacementSweep::grid();
         assert_eq!(grid.len(), 10);
         assert_eq!(grid[0], PlacementCell { model: "GPT-2".into(), tiered: false });
         // One model's (single-tier, tiered) pair end to end — the full grid
-        // runs in the placement_sweep binary and the CI placement-smoke job.
-        let single = placement_row(&grid[0]);
-        let tiered = placement_row(&grid[1]);
+        // runs in `sweep placement_sweep` and the CI sweeps job.
+        let single = PlacementSweep::row(&grid[0]);
+        let tiered = PlacementSweep::row(&grid[1]);
         assert_eq!(single.device_bytes, 0);
         assert_eq!(single.host_dram_bytes, 0);
         assert!(tiered.host_dram_bytes > 0, "moments must spill to host DRAM: {tiered:?}");
         assert!(tiered.device_bytes > 0, "small grads must pin device-resident: {tiered:?}");
         assert_ne!(single.snapshot_digest, tiered.snapshot_digest);
-        assert_eq!(placement_divergences(&[single, tiered]), Vec::<String>::new());
+        assert_eq!(PlacementSweep::divergences(&[single, tiered]), Vec::<String>::new());
     }
 
     #[test]
     fn placement_rows_reproduce_run_to_run() {
         let cell = PlacementCell { model: "GCNII".into(), tiered: true };
-        let a = placement_row(&cell);
-        let b = placement_row(&cell);
+        let a = PlacementSweep::row(&cell);
+        let b = PlacementSweep::row(&cell);
         assert_eq!(a, b, "tiered placement row must be byte-reproducible");
     }
 
     #[test]
     fn zero_rate_fault_cell_matches_clean() {
-        let row = fault_row(&FaultCell { dirty_bytes: 2, fault_rate: 0.0 });
+        let row = FaultSweep::row(&FaultCell { dirty_bytes: 2, fault_rate: 0.0 });
         assert!(row.state_matches_clean);
         assert_eq!(row.slowdown_vs_clean, 1.0);
         assert_eq!(row.crc_errors, 0);
+        assert_eq!(FaultSweep::divergences(&[row]), Vec::<String>::new());
+    }
+
+    #[test]
+    fn soak_cell_resumes_byte_identically() {
+        let cell = SoakResume::grid()[22];
+        assert_eq!(cell.workload, SoakWorkload::Audited);
+        let row = SoakResume::row(&cell);
+        assert!(row.byte_identical && row.audit_clean && row.audit_enabled, "{row:?}");
+        assert_eq!((row.snapshots_taken, row.restores), (1, 1));
+        let mut bad = row.clone();
+        bad.byte_identical = false;
+        assert_eq!(SoakResume::divergences(&[row, bad]).len(), 1);
     }
 }

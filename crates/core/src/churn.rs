@@ -278,10 +278,11 @@ fn redistribute_shard(
     step: u64,
     grad_lines: u64,
 ) -> Result<(), SessionError> {
-    assert!(
-        !survivors.is_empty(),
-        "no survivors to absorb device {dead}'s shard — an N≥2 cluster is required to lose a device"
-    );
+    if survivors.is_empty() {
+        return Err(SessionError::Config(format!(
+            "no survivors to absorb device {dead}'s shard: the workload kills every device"
+        )));
+    }
     for i in 0..grad_lines {
         let via = survivors[(i as usize) % survivors.len()];
         cluster.push_grad_shard(via, i, churn_grad_line(dead, step, i))?;
@@ -319,6 +320,16 @@ mod tests {
         }
         // And distinct lines must differ, or the checksum proves nothing.
         assert_ne!(churn_param_line(3, 0), churn_param_line(3, 1));
+    }
+
+    #[test]
+    fn killing_every_device_is_a_typed_error() {
+        let w = ChurnWorkload::small(2).with_kill(0, 3).with_kill(1, 3);
+        let err = run_churn(&w).expect_err("no survivor can absorb the shards");
+        assert!(
+            matches!(err.root(), SessionError::Config(m) if m.contains("no survivors")),
+            "{err}"
+        );
     }
 
     #[test]

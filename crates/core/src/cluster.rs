@@ -1180,12 +1180,18 @@ pub fn run_cluster_uninterrupted(w: &ClusterWorkload) -> Result<ClusterRunOutcom
 
 /// Run the cluster workload, kill it at `kill`, restore the whole cluster
 /// from serialized bytes, and finish. The returned outcome's `report`
-/// must serialize byte-identical to [`run_cluster_uninterrupted`]'s.
+/// must serialize byte-identical to [`run_cluster_uninterrupted`]'s. A
+/// kill step outside the run is a [`SessionError::Config`].
 pub fn run_cluster_resumed(
     w: &ClusterWorkload,
     kill: KillPoint,
 ) -> Result<ClusterRunOutcome, SessionError> {
-    assert!(kill.step < w.steps, "kill step {} out of range {}", kill.step, w.steps);
+    if kill.step >= w.steps {
+        return Err(SessionError::Config(format!(
+            "kill step {} out of range {}",
+            kill.step, w.steps
+        )));
+    }
     let mut d = ClusterDriver::new(w)?;
     for _ in 0..kill.step {
         d.run_step()?;
@@ -1338,6 +1344,13 @@ mod tests {
         let r4 = run_cluster_uninterrupted(&w4).unwrap().report;
         assert_eq!(r1.host.total_wait_ns, 0, "one device never contends");
         assert!(r4.host.total_wait_ns > 0, "four devices must contend");
+    }
+
+    #[test]
+    fn out_of_range_kill_step_is_a_config_error() {
+        let w = ClusterWorkload::small(2, 7);
+        let kill = KillPoint { step: w.steps, boundary: StepBoundary::AfterParamFence };
+        assert!(matches!(run_cluster_resumed(&w, kill), Err(SessionError::Config(_))));
     }
 
     #[test]

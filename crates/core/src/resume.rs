@@ -308,9 +308,15 @@ pub fn run_uninterrupted(w: &ResumeWorkload) -> Result<RunOutcome, SessionError>
 
 /// Run the workload, kill it at `kill`, restore from serialized bytes, and
 /// finish. The returned outcome's `report` must serialize byte-identical
-/// to [`run_uninterrupted`]'s.
+/// to [`run_uninterrupted`]'s. A kill step outside the run is a
+/// [`SessionError::Config`].
 pub fn run_resumed(w: &ResumeWorkload, kill: KillPoint) -> Result<RunOutcome, SessionError> {
-    assert!(kill.step < w.steps, "kill step {} out of range {}", kill.step, w.steps);
+    if kill.step >= w.steps {
+        return Err(SessionError::Config(format!(
+            "kill step {} out of range {}",
+            kill.step, w.steps
+        )));
+    }
     let mut d = Driver::new(w)?;
     for _ in 0..kill.step {
         d.run_step_until(StepBoundary::AfterParamFence)?;
@@ -378,6 +384,13 @@ mod tests {
             }
         }
         pts
+    }
+
+    #[test]
+    fn out_of_range_kill_step_is_a_config_error() {
+        let w = ResumeWorkload::small(42);
+        let kill = KillPoint { step: w.steps, boundary: StepBoundary::AfterGradFence };
+        assert!(matches!(run_resumed(&w, kill), Err(SessionError::Config(_))));
     }
 
     #[test]

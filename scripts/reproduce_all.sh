@@ -12,9 +12,7 @@ BINS=(
   sec7_lammps overhead_analysis api_overhead
   ablation_dirty_bytes ablation_granularity ablation_pcie_gen
   ablation_cpu_speed baselines_comparison autotune_act_steps
-  trace_replay_validation cost_savings fault_sweep scaling_sweep
-  datapath_sweep churn_sweep collective_sweep fabric_chaos_sweep
-  placement_sweep soak_resume
+  trace_replay_validation cost_savings sweep
   generate_report
 )
 

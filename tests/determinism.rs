@@ -92,35 +92,18 @@ fn timing_experiments_are_reproducible() {
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
-/// The sweep matrix behind `bench_results/*.json`: run-to-run JSON must be
-/// byte-identical, and the worker count must never leak into the output —
-/// serial (workers = 1) and parallel (the core count `cargo bench` and CI
-/// would use) executions of the same grid must serialize identically.
-/// This is the property that lets the CI smoke jobs `cmp` two runs.
+/// The sweep matrix behind `bench_results/*.json`: every registered
+/// sweep's JSON must be byte-identical between a serial run (workers = 1)
+/// and a parallel run (the core count `sweep` would use). Two separate
+/// runs, so this also pins run-to-run determinism — the property that
+/// lets the CI sweeps job `cmp` two runs.
 #[test]
 fn sweep_json_is_byte_identical_across_runs_and_worker_counts() {
     let parallel = teco::dl::num_cores().max(2);
-    let fault = |workers| {
-        serde_json::to_string(&teco_bench::sweeps::fault_rows_with_workers(workers)).unwrap()
-    };
-    let scaling = |workers| {
-        serde_json::to_string(&teco_bench::sweeps::scaling_rows_with_workers(workers)).unwrap()
-    };
-
-    let fault_serial = fault(1);
-    assert_eq!(fault_serial, fault(1), "fault sweep diverged run to run");
-    assert_eq!(fault_serial, fault(parallel), "fault sweep leaked its worker count");
-
-    let scaling_serial = scaling(1);
-    assert_eq!(scaling_serial, scaling(1), "scaling sweep diverged run to run");
-    assert_eq!(scaling_serial, scaling(parallel), "scaling sweep leaked its worker count");
-
-    let collective = |workers| {
-        serde_json::to_string(&teco_bench::sweeps::collective_sweep_with_workers(workers)).unwrap()
-    };
-    let collective_serial = collective(1);
-    assert_eq!(collective_serial, collective(1), "collective sweep diverged run to run");
-    assert_eq!(collective_serial, collective(parallel), "collective sweep leaked its worker count");
+    for sweep in teco_bench::sweeps::registry() {
+        let json = |workers| serde_json::to_string(&(sweep.run)(workers).json).unwrap();
+        assert_eq!(json(1), json(parallel), "{} diverged between serial and parallel", sweep.name);
+    }
 }
 
 #[test]
