@@ -20,7 +20,7 @@ use teco_cxl::{
     Direction, FaultStats, FenceDeadline, FenceStats, FenceTimeout, GiantCache, GiantCacheError,
     GiantCacheSnapshot, LinkError, MediaRas, MediaRasSnapshot, Opcode, ProtocolMode, RasStats,
 };
-use teco_mem::tier::Tier;
+use teco_mem::tier::{Tier, TierError};
 use teco_mem::{Addr, LineData, RegionId, LINE_BYTES};
 use teco_sim::{Interval, SimTime};
 
@@ -52,6 +52,9 @@ pub enum SessionError {
     Link(LinkError),
     /// A `CXLFENCE` did not complete within its configured timeout.
     Fence(FenceTimeout),
+    /// The tiered placement engine refused a tensor for a reason other
+    /// than capacity (capacity surfaces as [`GiantCacheError`]).
+    Placement(TierError),
     /// The paranoid auditor found a cross-module invariant violation.
     Audit(AuditError),
     /// A cluster device stopped responding: its fence never reaches the
@@ -99,6 +102,7 @@ impl std::fmt::Display for SessionError {
             SessionError::GiantCache(e) => write!(f, "giant cache: {e}"),
             SessionError::Link(e) => write!(f, "link: {e}"),
             SessionError::Fence(e) => write!(f, "fence: {e}"),
+            SessionError::Placement(e) => write!(f, "placement: {e}"),
             SessionError::Audit(e) => write!(f, "audit: {e}"),
             SessionError::DeviceDown { device, time_ns } => {
                 write!(f, "device {device} down at t={time_ns} ns: link unresponsive")
@@ -128,6 +132,16 @@ impl From<LinkError> for SessionError {
 impl From<FenceTimeout> for SessionError {
     fn from(e: FenceTimeout) -> Self {
         SessionError::Fence(e)
+    }
+}
+impl From<TierError> for SessionError {
+    fn from(e: TierError) -> Self {
+        match e {
+            TierError::CapacityExceeded { requested, available, .. } => {
+                GiantCacheError::CapacityExceeded { requested, available }.into()
+            }
+            other => SessionError::Placement(other),
+        }
     }
 }
 
@@ -249,19 +263,14 @@ impl TecoSession {
         &mut self,
         name: impl Into<String>,
         bytes: u64,
-    ) -> Result<(RegionId, Addr), GiantCacheError> {
+    ) -> Result<(RegionId, Addr), SessionError> {
         let name = name.into();
         let rounded = bytes.div_ceil(LINE_BYTES as u64) * LINE_BYTES as u64;
         if let Some(engine) = &mut self.placement {
             // The placement engine decides the tier. Giant-cache tensors
             // take the classic path below; device-resident and host-DRAM
             // tensors get engine-backed side storage instead.
-            let (handle, tier) = engine.place(&name, bytes).map_err(|e| match e {
-                teco_mem::tier::TierError::CapacityExceeded { requested, available, .. } => {
-                    GiantCacheError::CapacityExceeded { requested, available }
-                }
-                other => panic!("placement failed unexpectedly: {other}"),
-            })?;
+            let (handle, tier) = engine.place(&name, bytes)?;
             if tier != Tier::GiantCache {
                 let base = engine.bind_side(handle);
                 // Side regions never collide with giant-cache ids; offset
@@ -424,10 +433,11 @@ impl TecoSession {
             engine.note_write(base, (n * LINE_BYTES) as u64);
         }
         let addr_of = |i: usize| Addr(base.0 + (i * LINE_BYTES) as u64);
-        for i in 0..n {
-            if !self.giant_cache.is_mapped(addr_of(i)) {
-                return Err(GiantCacheError::NotMapped(addr_of(i)).into());
-            }
+        // The mapped range is contiguous from address 0, so the run is
+        // mapped exactly when its last line is.
+        if !self.giant_cache.is_mapped(addr_of(n - 1)) {
+            let first = (0..n).find(|&i| !self.giant_cache.is_mapped(addr_of(i))).unwrap_or(n - 1);
+            return Err(GiantCacheError::NotMapped(addr_of(first)).into());
         }
         // The guarded per-line ladder runs only when it can matter: with
         // the fault model off, no media RAS, and nothing degraded, the
@@ -676,7 +686,8 @@ impl TecoSession {
         if let Some(engine) = &mut self.placement {
             engine.note_write(addr, LINE_BYTES as u64);
         }
-        let _ = self.coherence.write(Agent::Device, addr, line.bytes(), false);
+        let pushed = self.coherence.write_accounted(Agent::Device, addr, LINE_BYTES);
+        debug_assert!(pushed || self.cfg.protocol == ProtocolMode::Invalidation);
         if !self.link.faults_enabled() {
             let iv = self.link.transfer(Direction::ToHost, now, LINE_BYTES as u64, SimTime::ZERO);
             self.stats.grad_lines += 1;
@@ -734,7 +745,7 @@ impl TecoSession {
     ) -> Result<Interval, SessionError> {
         let n = lines.len() as u64;
         let per_wire = self.aggregator.register().payload_bytes() as u64;
-        let engine = self.placement.as_mut().expect("side address implies an engine");
+        let engine = self.placement.as_mut().ok_or(GiantCacheError::NotMapped(base))?;
         let (_, tier) = engine.locate(base).ok_or(GiantCacheError::NotMapped(base))?;
         engine.write_lines(base, lines)?;
         engine.note_write(base, n * LINE_BYTES as u64);
@@ -1178,7 +1189,9 @@ mod tests {
         let mut s = session();
         let (_, base) = s.alloc_tensor("params", 128).unwrap(); // two lines
         let lines = vec![line_with(1); 3];
-        assert!(s.push_param_lines(base, &lines, SimTime::ZERO).is_err());
+        let err = s.push_param_lines(base, &lines, SimTime::ZERO).unwrap_err();
+        let first_unmapped = Addr(base.0 + 2 * LINE_BYTES as u64);
+        assert_eq!(err, SessionError::GiantCache(GiantCacheError::NotMapped(first_unmapped)));
         assert_eq!(s.stats().param_lines, 0, "failed push leaves stats untouched");
     }
 
@@ -1542,6 +1555,33 @@ mod tests {
                 ..Default::default()
             }),
         )
+    }
+
+    #[test]
+    fn placement_refusals_are_typed_errors() {
+        // Capacity keeps its giant-cache error; any other refusal from the
+        // placement engine surfaces as `Placement`, never a panic.
+        let mut s = TecoSession::new(tiered_cfg()).unwrap();
+        let err = s.alloc_tensor("params", 8 << 30).unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::GiantCache(GiantCacheError::CapacityExceeded {
+                requested: 8 << 30,
+                available: 4 << 30,
+            })
+        );
+        let err = SessionError::from(TierError::UnknownRegion(7));
+        assert_eq!(err, SessionError::Placement(TierError::UnknownRegion(7)));
+        assert!(err.to_string().starts_with("placement: "), "{err}");
+    }
+
+    #[test]
+    fn side_push_without_engine_is_typed_error() {
+        let mut s = session();
+        let side = Addr(crate::placement::SIDE_BASE);
+        let err = s.push_side_lines(side, &[line_with(1)], SimTime::ZERO, true).unwrap_err();
+        assert_eq!(err, SessionError::GiantCache(GiantCacheError::NotMapped(side)));
+        assert_eq!(s.stats(), SessionStats::default(), "a refused push changes nothing");
     }
 
     #[test]

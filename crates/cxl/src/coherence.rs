@@ -92,6 +92,9 @@ impl LineState {
     }
 }
 
+/// Both peers in S: where every update-mode store leaves its line.
+const SHARED: LineState = LineState { cs: MesiState::S, gs: MesiState::S };
+
 /// Per-direction traffic accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficStats {
@@ -249,10 +252,12 @@ impl CoherenceEngine {
     fn state_mut_at(&mut self, slot: LineSlot) -> &mut LineState {
         match slot {
             LineSlot::Dense(i) => {
-                if !self.touched.set(i) {
-                    *self.dense.get_mut(i) = self.initial;
+                let first_touch = !self.touched.set(i);
+                let ls = self.dense.get_mut(i);
+                if first_touch {
+                    *ls = self.initial;
                 }
-                self.dense.get_mut(i)
+                ls
             }
             LineSlot::Spill(line) => {
                 let init = self.initial;
@@ -264,23 +269,58 @@ impl CoherenceEngine {
     /// Account one message (opcode counts + per-direction traffic) without
     /// materializing a packet. `payload_len` is 0 for control messages.
     fn account(&mut self, to: Agent, opcode: Opcode, payload_len: usize) {
-        self.msg_counts[opcode.index()] += 1;
+        self.account_n(to, opcode, payload_len, 1);
+    }
+
+    /// Account `count` identical messages at once.
+    fn account_n(&mut self, to: Agent, opcode: Opcode, payload_len: usize, count: u64) {
+        self.msg_counts[opcode.index()] += count;
         let stats = match to {
             Agent::Device => &mut self.to_device,
             Agent::Cpu => &mut self.to_host,
         };
-        stats.packets += 1;
+        stats.packets += count;
+        let header = crate::packet::HEADER_BYTES as u64;
         if opcode.carries_data() {
-            stats.data_bytes += payload_len as u64;
-            stats.control_bytes += crate::packet::HEADER_BYTES as u64;
+            stats.data_bytes += payload_len as u64 * count;
+            stats.control_bytes += header * count;
         } else {
-            stats.control_bytes += (crate::packet::HEADER_BYTES + payload_len) as u64;
+            stats.control_bytes += (header + payload_len as u64) * count;
         }
     }
 
     fn emit(&mut self, to: Agent, pkt: CxlPacket) -> CxlPacket {
         self.account(to, pkt.opcode, pkt.payload.len());
         pkt
+    }
+
+    /// The state transitions of one store by `writer` at `slot`, with one
+    /// read and one write of the line state. Returns whether the store
+    /// sends `ReadOwn` (the writer did not own the line, Fig. 5 step ①) and
+    /// whether that `ReadOwn` invalidates the peer copy (invalidation mode
+    /// only). In update mode the store also sends `GoFlush` + `FlushData`
+    /// and both ends finish in S (Fig. 5 step ②); in invalidation mode the
+    /// writer finishes in M and the data stays put until the peer reads.
+    fn store_at(&mut self, writer: Agent, slot: LineSlot) -> (bool, bool) {
+        let mode = self.mode;
+        let reader = writer.peer();
+        let ls = self.state_mut_at(slot);
+        let read_own = matches!(ls.get(writer), MesiState::I | MesiState::S);
+        let invalidate =
+            read_own && mode == ProtocolMode::Invalidation && ls.get(reader) != MesiState::I;
+        match mode {
+            ProtocolMode::Update => *ls = SHARED,
+            ProtocolMode::Invalidation => {
+                ls.set(writer, MesiState::M);
+                if invalidate {
+                    ls.set(reader, MesiState::I);
+                }
+            }
+        }
+        if read_own && mode == ProtocolMode::Invalidation {
+            self.snoop.set_exclusive_at(slot, writer);
+        }
+        (read_own, invalidate)
     }
 
     /// A store by `writer` to a giant-cache-domain line. `payload` is the
@@ -295,52 +335,21 @@ impl CoherenceEngine {
         payload: &[u8],
         aggregated: bool,
     ) -> Vec<CxlPacket> {
-        let mut out = Vec::new();
-        let slot = self.resolve(addr);
         let reader = writer.peer();
-        let st = *self.state_mut_at(slot);
-
-        // Acquire ownership if we don't have it (Fig. 5 step ①).
-        let my = st.get(writer);
-        if my == MesiState::I || my == MesiState::S {
+        let (read_own, invalidate) = self.store_at(writer, self.resolve(addr));
+        let mut out = Vec::new();
+        if read_own {
             out.push(self.emit(reader, CxlPacket::control(Opcode::ReadOwn, addr)));
-            match self.mode {
-                ProtocolMode::Invalidation => {
-                    // ReadOwn invalidates the peer copy.
-                    if st.get(reader) != MesiState::I {
-                        out.push(self.emit(reader, CxlPacket::control(Opcode::Invalidate, addr)));
-                        self.state_mut_at(slot).set(reader, MesiState::I);
-                    }
-                    self.snoop.set_exclusive_at(slot, writer);
-                }
-                ProtocolMode::Update => {
-                    // The update extension leaves the peer copy in place; it
-                    // is about to receive fresh data anyway.
-                }
-            }
-            self.state_mut_at(slot).set(writer, MesiState::E);
         }
-
-        // Perform the store: E→M (no traffic).
-        self.state_mut_at(slot).set(writer, MesiState::M);
-
-        match self.mode {
-            ProtocolMode::Update => {
-                // Fig. 5 step ②: home agent approves with GoFlush, the data
-                // is pushed, and writer transitions M→S while the peer's
-                // copy becomes S.
-                out.push(self.emit(writer, CxlPacket::control(Opcode::GoFlush, addr)));
-                out.push(self.emit(
-                    reader,
-                    CxlPacket::data(Opcode::FlushData, addr, payload.to_vec(), aggregated),
-                ));
-                let ls = self.state_mut_at(slot);
-                ls.set(writer, MesiState::S);
-                ls.set(reader, MesiState::S);
-            }
-            ProtocolMode::Invalidation => {
-                // Data stays put until the peer reads.
-            }
+        if invalidate {
+            out.push(self.emit(reader, CxlPacket::control(Opcode::Invalidate, addr)));
+        }
+        if self.mode == ProtocolMode::Update {
+            out.push(self.emit(writer, CxlPacket::control(Opcode::GoFlush, addr)));
+            out.push(self.emit(
+                reader,
+                CxlPacket::data(Opcode::FlushData, addr, payload.to_vec(), aggregated),
+            ));
         }
         out
     }
@@ -366,46 +375,36 @@ impl CoherenceEngine {
         payload_len: usize,
     ) -> bool {
         let reader = writer.peer();
-        let st = *self.state_mut_at(slot);
-
-        // Acquire ownership if we don't have it (Fig. 5 step ①).
-        let my = st.get(writer);
-        if my == MesiState::I || my == MesiState::S {
+        let (read_own, invalidate) = self.store_at(writer, slot);
+        if read_own {
             self.account(reader, Opcode::ReadOwn, 0);
-            match self.mode {
-                ProtocolMode::Invalidation => {
-                    if st.get(reader) != MesiState::I {
-                        self.account(reader, Opcode::Invalidate, 0);
-                        self.state_mut_at(slot).set(reader, MesiState::I);
-                    }
-                    self.snoop.set_exclusive_at(slot, writer);
-                }
-                ProtocolMode::Update => {}
-            }
-            self.state_mut_at(slot).set(writer, MesiState::E);
         }
-
-        // Perform the store: E→M (no traffic).
-        self.state_mut_at(slot).set(writer, MesiState::M);
-
+        if invalidate {
+            self.account(reader, Opcode::Invalidate, 0);
+        }
         match self.mode {
             ProtocolMode::Update => {
-                // Fig. 5 step ②: GoFlush + FlushData, both ends → S.
                 self.account(writer, Opcode::GoFlush, 0);
                 self.account(reader, Opcode::FlushData, payload_len);
-                let ls = self.state_mut_at(slot);
-                ls.set(writer, MesiState::S);
-                ls.set(reader, MesiState::S);
                 true
             }
             ProtocolMode::Invalidation => false,
         }
     }
 
-    /// The bulk path: one [`CoherenceEngine::write_accounted_at`] per line
-    /// of an aligned dense run `[dense_start, dense_start + n)`, in order.
+    /// The bulk path: the stores of an aligned dense run
+    /// `[dense_start, dense_start + n)`, with the same end state and
+    /// accounting as one [`CoherenceEngine::write_accounted_at`] per line.
     /// Returns whether every line pushed a `FlushData` (always, in update
     /// mode).
+    ///
+    /// In update mode every line of the run ends in (S,S) whatever it held
+    /// before, so the run is one pass over the slab segments: count the
+    /// lines whose writer was not yet an owner (each sends a `ReadOwn`),
+    /// fill (S,S), mark the run touched, and account the `ReadOwn`s,
+    /// `GoFlush`es and `FlushData`s by count. Invalidation-mode transitions
+    /// depend on the peer state and drive the snoop filter, so that mode
+    /// keeps the per-line loop.
     pub fn write_run_accounted(
         &mut self,
         writer: Agent,
@@ -413,11 +412,30 @@ impl CoherenceEngine {
         n: usize,
         payload_len: usize,
     ) -> bool {
-        let mut all = true;
-        for k in 0..n {
-            all &= self.write_accounted_at(writer, LineSlot::Dense(dense_start + k), payload_len);
+        if self.mode == ProtocolMode::Invalidation {
+            let mut all = true;
+            for k in 0..n {
+                all &=
+                    self.write_accounted_at(writer, LineSlot::Dense(dense_start + k), payload_len);
+            }
+            return all;
         }
-        all
+        let (initial, touched) = (self.initial, &self.touched);
+        let mut read_owns = 0u64;
+        self.dense.for_segments_mut(dense_start, n, |off, seg| {
+            let first = dense_start + off;
+            for (k, ls) in seg.iter_mut().enumerate() {
+                let prior = if touched.get(first + k) { *ls } else { initial };
+                read_owns += matches!(prior.get(writer), MesiState::I | MesiState::S) as u64;
+                *ls = SHARED;
+            }
+        });
+        self.touched.set_range(dense_start, n);
+        let reader = writer.peer();
+        self.account_n(reader, Opcode::ReadOwn, 0, read_owns);
+        self.account_n(writer, Opcode::GoFlush, 0, n as u64);
+        self.account_n(reader, Opcode::FlushData, payload_len, n as u64);
+        true
     }
 
     /// A load by `reader` of a giant-cache-domain line. In the update

@@ -374,26 +374,19 @@ impl LineBitmap {
         if self.ones == 0 || len == 0 {
             return None;
         }
-        let end = start + len;
-        let mut i = start;
-        while i < end {
-            let w = i / 64;
-            let lo = i % 64;
-            let hi = (end - w * 64).min(64);
-            let mask = if hi == 64 { !0u64 << lo } else { ((1u64 << hi) - 1) & (!0u64 << lo) };
+        range_words(start, start + len).find_map(|(w, mask)| {
             let bits = self.words[w] & mask;
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-            i = (w + 1) * 64;
-        }
-        None
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })
     }
 
-    /// Set every bit in `[start, start + len)`.
+    /// Set every bit in `[start, start + len)` — word-at-a-time, counting
+    /// only the bits that were clear into the popcount.
     pub fn set_range(&mut self, start: usize, len: usize) {
-        for i in start..start + len {
-            self.set(i);
+        debug_assert!(start + len <= self.lines);
+        for (w, mask) in range_words(start, start + len) {
+            self.ones += (mask & !self.words[w]).count_ones() as usize;
+            self.words[w] |= mask;
         }
     }
 
@@ -418,6 +411,17 @@ impl LineBitmap {
             (0..64).filter(move |b| word & (1u64 << b) != 0).map(move |b| base + b)
         })
     }
+}
+
+/// The bitmap words covering bits `[start, end)`, each with the mask of
+/// the range's bits inside it.
+fn range_words(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
+    (start / 64..end.div_ceil(64)).map(move |w| {
+        let lo = start.saturating_sub(w * 64);
+        let hi = (end - w * 64).min(64);
+        let mask = if hi == 64 { !0u64 << lo } else { ((1u64 << hi) - 1) & (!0u64 << lo) };
+        (w, mask)
+    })
 }
 
 #[cfg(test)]
@@ -525,6 +529,41 @@ mod tests {
         b.set_range(60, 10);
         assert_eq!(b.count(), 11);
         assert_eq!(b.first_set_in(0, 200), Some(60));
+    }
+
+    #[test]
+    fn bitmap_set_range_matches_per_bit_set() {
+        // Random ranges crossing word boundaries, over bits that are
+        // partly set already: same words and popcount as a per-bit loop.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % m as u64) as usize
+        };
+        let mut fast = LineBitmap::new();
+        fast.grow(1000);
+        let mut slow = fast.clone();
+        for _ in 0..300 {
+            if next(3) == 0 {
+                let i = next(1000);
+                fast.set(i);
+                slow.set(i);
+            }
+            let start = next(1000);
+            let len = next(1000 - start + 1).min(200);
+            fast.set_range(start, len);
+            for i in start..start + len {
+                slow.set(i);
+            }
+            assert_eq!(fast.word_parts(), slow.word_parts(), "range {start}+{len}");
+            assert_eq!(fast.count(), slow.count(), "range {start}+{len}");
+        }
+        assert_eq!(fast.count(), fast.word_parts().iter().map(|w| w.count_ones() as usize).sum());
+        fast.set_range(0, 0);
+        fast.set_range(1000, 0);
+        assert_eq!(fast.count(), slow.count(), "empty ranges set nothing");
     }
 
     #[test]

@@ -46,6 +46,10 @@ pub struct SerialServer {
     bytes_served: u64,
     jobs: u64,
     last_ready: SimTime,
+    /// Service time of the most recent byte count, `(bytes, time)`: links
+    /// stream runs of equal-sized payloads, so this saves the per-job float
+    /// divide. Derived from `rate`, so not part of the snapshot.
+    memo: (u64, SimTime),
 }
 
 impl SerialServer {
@@ -58,6 +62,7 @@ impl SerialServer {
             bytes_served: 0,
             jobs: 0,
             last_ready: SimTime::ZERO,
+            memo: (0, SimTime::ZERO),
         }
     }
 
@@ -90,7 +95,10 @@ impl SerialServer {
         );
         self.last_ready = ready;
         let start = (ready + latency).max(self.next_free);
-        let service = self.rate.transfer_time(bytes);
+        if self.memo.0 != bytes {
+            self.memo = (bytes, self.rate.transfer_time(bytes));
+        }
+        let service = self.memo.1;
         let end = start + service;
         self.next_free = end;
         self.busy += service;
@@ -142,6 +150,7 @@ impl SerialServer {
             bytes_served: s.bytes_served,
             jobs: s.jobs,
             last_ready: s.last_ready,
+            memo: (0, SimTime::ZERO),
         }
     }
 }
@@ -315,10 +324,23 @@ impl IntervalSet {
         s
     }
 
-    /// Insert an interval, merging overlaps.
+    /// Insert an interval, merging overlaps and touching neighbours.
     pub fn add(&mut self, iv: Interval) {
         if iv.is_empty() {
             return;
+        }
+        // Causal callers insert at the tail. Stored intervals are disjoint
+        // and non-touching, so an interval starting at or after the last
+        // one's start can only extend it or follow it.
+        if let Some(last) = self.ivs.last_mut() {
+            if iv.start > last.end {
+                self.ivs.push(iv);
+                return;
+            }
+            if iv.start >= last.start {
+                last.end = last.end.max(iv.end);
+                return;
+            }
         }
         // Binary search for insertion point by start.
         let pos = self.ivs.partition_point(|x| x.end < iv.start);
