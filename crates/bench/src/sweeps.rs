@@ -11,10 +11,9 @@
 
 use serde::{Deserialize, Serialize, Value};
 use teco_core::{
-    run_churn, run_cluster_uninterrupted, run_fabric_chaos, run_fabric_uninterrupted, run_resumed,
-    run_uninterrupted, ChurnWorkload, ClusterConfig, ClusterReport, ClusterWorkload,
-    FabricChaosWorkload, FabricWorkload, HostKillSpec, KillPoint, PlacementPolicy, ResumeWorkload,
-    StepBoundary, TecoConfig, TecoSession, TieredPolicy,
+    run_churn, run_fabric_chaos, run_resumed, run_uninterrupted, ChurnWorkload, ClusterConfig,
+    ClusterReport, ClusterWorkload, FabricChaosWorkload, FabricWorkload, HostKillSpec, KillPoint,
+    PlacementPolicy, ResumeWorkload, StepBoundary, TecoConfig, TecoSession, TieredPolicy,
 };
 use teco_cxl::{
     ring_all_reduce, CollectiveConfig, CollectivePhase, FaultConfig, PoolCollective, RasConfig,
@@ -436,9 +435,7 @@ pub struct ScalingRow {
 }
 
 fn cluster_report(devices: usize, batch: u64) -> ClusterReport {
-    run_cluster_uninterrupted(&scaling_workload(devices, batch))
-        .expect("scaling workload completes")
-        .report
+    run_uninterrupted(&scaling_workload(devices, batch)).expect("scaling workload completes").report
 }
 
 impl Sweep for ScalingSweep {
@@ -1078,7 +1075,7 @@ fn collective_row(hosts: usize, grad_mb: u64) -> CollectiveRow {
 /// H-host training fabric over the shared pool, with the structural
 /// anchor asserted per row — host 0's cluster report is byte-identical
 /// to the standalone single-host path (the scaling sweep's
-/// `run_cluster_uninterrupted`) at every H, and at H = 1 the whole
+/// `run_uninterrupted`) at every H, and at H = 1 the whole
 /// fabric collapses to it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FabricRow {
@@ -1115,8 +1112,8 @@ pub fn fabric_workload(hosts: usize) -> FabricWorkload {
 /// digest comparison.
 fn fabric_row(hosts: usize) -> FabricRow {
     let w = fabric_workload(hosts);
-    let fabric = run_fabric_uninterrupted(&w).expect("fabric run completes").report;
-    let cluster = run_cluster_uninterrupted(&w.base).expect("cluster run completes").report;
+    let fabric = run_uninterrupted(&w).expect("fabric run completes").report;
+    let cluster = run_uninterrupted(&w.base).expect("cluster run completes").report;
     let host0 = serde_json::to_string(&fabric.host_reports[0]).expect("serialize host 0");
     let standalone = serde_json::to_string(&cluster).expect("serialize cluster");
     FabricRow {
@@ -1434,9 +1431,8 @@ impl Sweep for FabricChaosSweep {
         let golden_cell = ChaosCell { hosts: cell.hosts, kill: ChaosKill::None, media_rate: 0.0 };
         let golden = run_fabric_chaos(&chaos_cell_workload(&golden_cell))
             .expect("golden chaos run completes")
-            .outcome;
-        let out =
-            run_fabric_chaos(&chaos_cell_workload(cell)).expect("chaos run completes").outcome;
+            .report;
+        let out = run_fabric_chaos(&chaos_cell_workload(cell)).expect("chaos run completes").report;
         let k = CHAOS_KILL_STEP as usize;
         let grads_ok = match cell.kill {
             ChaosKill::None => out.step_grad_checksums == golden.step_grad_checksums,

@@ -28,12 +28,14 @@
 //! ([`ClusterReport::cluster_time_ns`]) and the per-device wait accounts.
 //!
 //! The whole cluster snapshots and resumes through the same versioned
-//! envelope as a single session: [`run_cluster_resumed`] kills the run at
+//! envelope as a single session: [`crate::resume::run_resumed`] kills the run at
 //! any [`StepBoundary`], restores from nothing but the serialized bytes,
-//! and must reproduce [`run_cluster_uninterrupted`]'s report bit-for-bit.
+//! and must reproduce [`crate::resume::run_uninterrupted`]'s report bit-for-bit.
 
 use crate::config::TecoConfig;
-use crate::resume::{audit_status, device_report, KillPoint, ResumeReport, StepBoundary};
+use crate::resume::{
+    audit_status, device_report, ResumeReport, StepBoundary, StepDriver, StepWorkload,
+};
 use crate::session::{SessionError, SessionSnapshot, TecoSession};
 use serde::{Deserialize, Serialize};
 use teco_cxl::{
@@ -41,7 +43,7 @@ use teco_cxl::{
     MediaRasSnapshot, RasStats,
 };
 use teco_mem::{Addr, LineData, LINE_BYTES};
-use teco_sim::{decode_snapshot, encode_snapshot, Bandwidth, SimRng, SimTime, SnapshotError};
+use teco_sim::{Bandwidth, SimRng, SimTime};
 
 /// Configuration for an N-accelerator cluster.
 #[derive(Debug, Clone)]
@@ -940,30 +942,6 @@ pub struct ClusterDriver {
 }
 
 impl ClusterDriver {
-    /// Build the cluster, map the replicated tensors, and seed the
-    /// per-device content streams.
-    pub fn new(w: &ClusterWorkload) -> Result<Self, SessionError> {
-        let mut cluster = ClusterSession::new(w.cfg.clone())?;
-        cluster.alloc_params(w.param_lines)?;
-        cluster.alloc_grads(w.grad_lines)?;
-        let rngs = (0..w.cfg.devices)
-            .map(|d| {
-                if d == 0 {
-                    // Identical to the single-device harness's stream.
-                    SimRng::seed_from_u64(w.seed)
-                } else {
-                    SimRng::seed_from_u64(w.seed).fork(&format!("cluster-dev-{d}"))
-                }
-            })
-            .collect();
-        Ok(ClusterDriver {
-            cluster,
-            rngs,
-            compute_ns_per_step: w.compute_ns_per_step,
-            param_buf: Vec::new(),
-        })
-    }
-
     /// A driver for host `host` of a multi-host fabric. Host 0 is seeded
     /// exactly like [`ClusterDriver::new`] — its cluster must stay
     /// byte-identical to a standalone run (the fabric's correctness
@@ -983,30 +961,6 @@ impl ClusterDriver {
     /// The cluster under the driver.
     pub fn cluster(&self) -> &ClusterSession {
         &self.cluster
-    }
-
-    /// Completed steps.
-    pub fn step(&self) -> u64 {
-        self.cluster.step()
-    }
-
-    /// Capture the driver whole.
-    pub fn capture(&self) -> ClusterWorkloadSnapshot {
-        ClusterWorkloadSnapshot {
-            cluster: self.cluster.snapshot(),
-            rngs: self.rngs.iter().map(|r| r.state()).collect(),
-            compute_ns_per_step: self.compute_ns_per_step,
-        }
-    }
-
-    /// Rebuild a driver from a captured state.
-    pub fn restore(s: &ClusterWorkloadSnapshot) -> Result<Self, SessionError> {
-        Ok(ClusterDriver {
-            cluster: ClusterSession::from_snapshot(&s.cluster)?,
-            rngs: s.rngs.iter().map(|&st| SimRng::from_state(st)).collect(),
-            compute_ns_per_step: s.compute_ns_per_step,
-            param_buf: Vec::new(),
-        })
     }
 
     fn random_line(rng: &mut SimRng) -> LineData {
@@ -1032,50 +986,6 @@ impl ClusterDriver {
         (dev.region_bytes(self.cluster.param_base()))
             .map(|bytes| bytes / LINE_BYTES as u64)
             .expect("param region was allocated at driver construction")
-    }
-
-    /// Run the current step from its start up to (and including) `until`.
-    pub fn run_step_until(&mut self, until: StepBoundary) -> Result<(), SessionError> {
-        if self.compute_ns_per_step > 0 {
-            self.cluster.advance_compute(SimTime::from_ns(self.compute_ns_per_step));
-        }
-        // Per-device gradient shards flush + fence, then the shards
-        // arbitrate for the pool (inside loss.backward()).
-        let gl = self.grad_lines();
-        for d in 0..self.rngs.len() {
-            for i in 0..gl {
-                let line = Self::random_line(&mut self.rngs[d]);
-                self.cluster.push_grad_shard(d, i, line)?;
-            }
-        }
-        self.cluster.fence_grads_all();
-        if until == StepBoundary::AfterGradFence {
-            return Ok(());
-        }
-        // Listing 1's one TECO line, on every device.
-        self.cluster.check_activation_all();
-        if until == StepBoundary::AfterActivation {
-            return Ok(());
-        }
-        self.broadcast_from_pool()?;
-        Ok(())
-    }
-
-    /// Finish the current step from `after` (exclusive) to its end.
-    pub fn finish_step_from(&mut self, after: StepBoundary) -> Result<(), SessionError> {
-        match after {
-            StepBoundary::AfterParamFence => Ok(()), // step completed pre-kill
-            StepBoundary::AfterGradFence => {
-                self.cluster.check_activation_all();
-                self.broadcast_from_pool()
-            }
-            StepBoundary::AfterActivation => self.broadcast_from_pool(),
-        }
-    }
-
-    /// Run one full step.
-    pub fn run_step(&mut self) -> Result<(), SessionError> {
-        self.run_step_until(StepBoundary::AfterParamFence)
     }
 
     /// Draw this step's updated parameter lines from the driver's pool
@@ -1138,93 +1048,120 @@ impl ClusterDriver {
         self.param_buf = lines;
         r
     }
+}
 
-    /// The cluster report at the current step.
-    pub fn report(&self) -> ClusterReport {
+impl StepWorkload for ClusterWorkload {
+    type Driver = ClusterDriver;
+    fn steps(&self) -> u64 {
+        self.steps
+    }
+}
+
+impl StepDriver for ClusterDriver {
+    type Workload = ClusterWorkload;
+    type Snapshot = ClusterWorkloadSnapshot;
+    type Report = ClusterReport;
+    type Error = SessionError;
+
+    /// Build the cluster, map the replicated tensors, and seed the
+    /// per-device content streams.
+    fn new(w: &ClusterWorkload) -> Result<Self, SessionError> {
+        let mut cluster = ClusterSession::new(w.cfg.clone())?;
+        cluster.alloc_params(w.param_lines)?;
+        cluster.alloc_grads(w.grad_lines)?;
+        let rngs = (0..w.cfg.devices)
+            .map(|d| {
+                if d == 0 {
+                    // Identical to the single-device harness's stream.
+                    SimRng::seed_from_u64(w.seed)
+                } else {
+                    SimRng::seed_from_u64(w.seed).fork(&format!("cluster-dev-{d}"))
+                }
+            })
+            .collect();
+        Ok(ClusterDriver {
+            cluster,
+            rngs,
+            compute_ns_per_step: w.compute_ns_per_step,
+            param_buf: Vec::new(),
+        })
+    }
+
+    fn step(&self) -> u64 {
+        self.cluster.step()
+    }
+
+    fn capture(&self) -> ClusterWorkloadSnapshot {
+        ClusterWorkloadSnapshot {
+            cluster: self.cluster.snapshot(),
+            rngs: self.rngs.iter().map(|r| r.state()).collect(),
+            compute_ns_per_step: self.compute_ns_per_step,
+        }
+    }
+
+    fn restore(s: &ClusterWorkloadSnapshot) -> Result<Self, SessionError> {
+        Ok(ClusterDriver {
+            cluster: ClusterSession::from_snapshot(&s.cluster)?,
+            rngs: s.rngs.iter().map(|&st| SimRng::from_state(st)).collect(),
+            compute_ns_per_step: s.compute_ns_per_step,
+            param_buf: Vec::new(),
+        })
+    }
+
+    fn run_step_until(&mut self, until: StepBoundary) -> Result<(), SessionError> {
+        if self.compute_ns_per_step > 0 {
+            self.cluster.advance_compute(SimTime::from_ns(self.compute_ns_per_step));
+        }
+        // Per-device gradient shards flush + fence, then the shards
+        // arbitrate for the pool (inside loss.backward()).
+        let gl = self.grad_lines();
+        for d in 0..self.rngs.len() {
+            for i in 0..gl {
+                let line = Self::random_line(&mut self.rngs[d]);
+                self.cluster.push_grad_shard(d, i, line)?;
+            }
+        }
+        self.cluster.fence_grads_all();
+        if until == StepBoundary::AfterGradFence {
+            return Ok(());
+        }
+        // Listing 1's one TECO line, on every device.
+        self.cluster.check_activation_all();
+        if until == StepBoundary::AfterActivation {
+            return Ok(());
+        }
+        self.broadcast_from_pool()?;
+        Ok(())
+    }
+
+    fn finish_step_from(&mut self, after: StepBoundary) -> Result<(), SessionError> {
+        match after {
+            StepBoundary::AfterParamFence => Ok(()), // step completed pre-kill
+            StepBoundary::AfterGradFence => {
+                self.cluster.check_activation_all();
+                self.broadcast_from_pool()
+            }
+            StepBoundary::AfterActivation => self.broadcast_from_pool(),
+        }
+    }
+
+    fn report(&self) -> ClusterReport {
         self.cluster.report()
     }
-}
 
-/// A cluster report plus the harness-side bookkeeping that must stay
-/// *out* of it (mirrors [`crate::resume::RunOutcome`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterRunOutcome {
-    /// The byte-identity-comparable report.
-    pub report: ClusterReport,
-    /// Snapshots the harness took (0 for an uninterrupted run).
-    pub snapshots_taken: u64,
-    /// Restores the harness performed (0 for an uninterrupted run).
-    pub restores: u64,
-    /// Serialized snapshot size in bytes (0 for an uninterrupted run).
-    pub snapshot_bytes: u64,
-    /// The first failing device audit; `None` when auditing is off or
-    /// every device's walk passed.
-    pub last_audit_error: Option<String>,
-}
-
-/// Run the cluster workload start to finish with no interruption.
-pub fn run_cluster_uninterrupted(w: &ClusterWorkload) -> Result<ClusterRunOutcome, SessionError> {
-    let mut d = ClusterDriver::new(w)?;
-    for _ in 0..w.steps {
-        d.run_step()?;
+    fn audit_status(&self) -> Option<String> {
+        self.cluster.audit_status()
     }
-    let last_audit_error = d.cluster.audit_status();
-    Ok(ClusterRunOutcome {
-        report: d.report(),
-        snapshots_taken: 0,
-        restores: 0,
-        snapshot_bytes: 0,
-        last_audit_error,
-    })
-}
 
-/// Run the cluster workload, kill it at `kill`, restore the whole cluster
-/// from serialized bytes, and finish. The returned outcome's `report`
-/// must serialize byte-identical to [`run_cluster_uninterrupted`]'s. A
-/// kill step outside the run is a [`SessionError::Config`].
-pub fn run_cluster_resumed(
-    w: &ClusterWorkload,
-    kill: KillPoint,
-) -> Result<ClusterRunOutcome, SessionError> {
-    if kill.step >= w.steps {
-        return Err(SessionError::Config(format!(
-            "kill step {} out of range {}",
-            kill.step, w.steps
-        )));
+    fn config_error(msg: String) -> SessionError {
+        SessionError::Config(msg)
     }
-    let mut d = ClusterDriver::new(w)?;
-    for _ in 0..kill.step {
-        d.run_step()?;
-    }
-    d.run_step_until(kill.boundary)?;
-
-    // The kill: serialize, destroy every piece of live state, restore from
-    // nothing but the bytes.
-    let bytes = encode_snapshot(&d.capture());
-    let snapshot_bytes = bytes.len() as u64;
-    drop(d);
-    let snap: ClusterWorkloadSnapshot =
-        decode_snapshot(&bytes).map_err(|e: SnapshotError| SessionError::Config(e.to_string()))?;
-    let mut d = ClusterDriver::restore(&snap)?;
-
-    d.finish_step_from(kill.boundary)?;
-    while d.step() < w.steps {
-        d.run_step()?;
-    }
-    let last_audit_error = d.cluster.audit_status();
-    Ok(ClusterRunOutcome {
-        report: d.report(),
-        snapshots_taken: 1,
-        restores: 1,
-        snapshot_bytes,
-        last_audit_error,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resume::run_uninterrupted;
+    use crate::resume::{run_resumed, run_uninterrupted, KillPoint};
 
     #[test]
     fn config_validates() {
@@ -1239,7 +1176,7 @@ mod tests {
     #[test]
     fn n1_device_report_matches_single_device_path() {
         let w = ClusterWorkload::small(1, 42);
-        let cluster = run_cluster_uninterrupted(&w).unwrap();
+        let cluster = run_uninterrupted(&w).unwrap();
         let single = run_uninterrupted(&w.to_single()).unwrap();
         assert_eq!(
             serde_json::to_string(&cluster.report.devices[0]).unwrap(),
@@ -1252,7 +1189,7 @@ mod tests {
         // Same broadcast on every device: device memories end identical
         // even though gradient shards differ per device.
         let w = ClusterWorkload::small(4, 9);
-        let out = run_cluster_uninterrupted(&w).unwrap();
+        let out = run_uninterrupted(&w).unwrap();
         let d0 = out.report.devices[0].device_checksum;
         for (i, dev) in out.report.devices.iter().enumerate() {
             assert_eq!(dev.device_checksum, d0, "device {i} memory diverged");
@@ -1275,8 +1212,8 @@ mod tests {
             device_size_threshold: 512,
             ..Default::default()
         }));
-        let a = run_cluster_uninterrupted(&w).expect("tiered cluster run completes");
-        let b = run_cluster_uninterrupted(&w).expect("second run completes");
+        let a = run_uninterrupted(&w).expect("tiered cluster run completes");
+        let b = run_uninterrupted(&w).expect("second run completes");
         assert_eq!(
             serde_json::to_string(&a.report).unwrap(),
             serde_json::to_string(&b.report).unwrap(),
@@ -1291,7 +1228,7 @@ mod tests {
         }
         // The non-default policy demonstrably changes behavior vs the
         // default single-tier layout.
-        let default_run = run_cluster_uninterrupted(&ClusterWorkload::small(2, 7)).unwrap();
+        let default_run = run_uninterrupted(&ClusterWorkload::small(2, 7)).unwrap();
         assert_ne!(
             serde_json::to_string(&a.report).unwrap(),
             serde_json::to_string(&default_run.report).unwrap(),
@@ -1314,8 +1251,8 @@ mod tests {
     fn fanout_accounting_scales_with_devices() {
         let w1 = ClusterWorkload::small(1, 7);
         let w4 = ClusterWorkload::small(4, 7);
-        let r1 = run_cluster_uninterrupted(&w1).unwrap().report;
-        let r4 = run_cluster_uninterrupted(&w4).unwrap().report;
+        let r1 = run_uninterrupted(&w1).unwrap().report;
+        let r4 = run_uninterrupted(&w4).unwrap().report;
         // Same broadcast bytes regardless of N; savings only at N > 1.
         assert_eq!(r1.host.broadcast_bytes, r4.host.broadcast_bytes);
         assert_eq!(r1.host.fanout_saved_bytes, 0);
@@ -1326,8 +1263,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let w = ClusterWorkload::small(4, 11);
-        let a = run_cluster_uninterrupted(&w).unwrap();
-        let b = run_cluster_uninterrupted(&w).unwrap();
+        let a = run_uninterrupted(&w).unwrap();
+        let b = run_uninterrupted(&w).unwrap();
         assert_eq!(
             serde_json::to_string(&a.report).unwrap(),
             serde_json::to_string(&b.report).unwrap(),
@@ -1340,8 +1277,8 @@ mod tests {
         // must queue; with one device they never do.
         let w1 = ClusterWorkload::small(1, 3);
         let w4 = ClusterWorkload::small(4, 3);
-        let r1 = run_cluster_uninterrupted(&w1).unwrap().report;
-        let r4 = run_cluster_uninterrupted(&w4).unwrap().report;
+        let r1 = run_uninterrupted(&w1).unwrap().report;
+        let r4 = run_uninterrupted(&w4).unwrap().report;
         assert_eq!(r1.host.total_wait_ns, 0, "one device never contends");
         assert!(r4.host.total_wait_ns > 0, "four devices must contend");
     }
@@ -1350,14 +1287,14 @@ mod tests {
     fn out_of_range_kill_step_is_a_config_error() {
         let w = ClusterWorkload::small(2, 7);
         let kill = KillPoint { step: w.steps, boundary: StepBoundary::AfterParamFence };
-        assert!(matches!(run_cluster_resumed(&w, kill), Err(SessionError::Config(_))));
+        assert!(matches!(run_resumed(&w, kill), Err(SessionError::Config(_))));
     }
 
     #[test]
     fn snapshot_resume_is_byte_identical_at_every_boundary() {
         for devices in [1usize, 2, 4] {
             let w = ClusterWorkload::small(devices, 23);
-            let base = run_cluster_uninterrupted(&w).unwrap();
+            let base = run_uninterrupted(&w).unwrap();
             let base_json = serde_json::to_string(&base.report).unwrap();
             for step in [0, w.steps / 2, w.steps - 1] {
                 for boundary in [
@@ -1366,7 +1303,7 @@ mod tests {
                     StepBoundary::AfterParamFence,
                 ] {
                     let kill = KillPoint { step, boundary };
-                    let resumed = run_cluster_resumed(&w, kill).unwrap();
+                    let resumed = run_resumed(&w, kill).unwrap();
                     assert_eq!(resumed.snapshots_taken, 1);
                     assert!(resumed.snapshot_bytes > 0);
                     let json = serde_json::to_string(&resumed.report).unwrap();
@@ -1379,9 +1316,9 @@ mod tests {
     #[test]
     fn compute_time_shifts_device_clocks_not_physics() {
         let mut w = ClusterWorkload::small(2, 13);
-        let fast = run_cluster_uninterrupted(&w).unwrap().report;
+        let fast = run_uninterrupted(&w).unwrap().report;
         w.compute_ns_per_step = 10_000;
-        let slow = run_cluster_uninterrupted(&w).unwrap().report;
+        let slow = run_uninterrupted(&w).unwrap().report;
         assert!(slow.cluster_time_ns > fast.cluster_time_ns);
         assert_eq!(slow.devices[0].device_checksum, fast.devices[0].device_checksum);
         assert_eq!(slow.pool_checksum, fast.pool_checksum);

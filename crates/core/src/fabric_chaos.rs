@@ -1,51 +1,33 @@
-//! The fabric chaos harness: host loss, staging-media faults, and
+//! Fabric chaos workloads: host loss, staging-media faults, and
 //! deadline-driven degradation injected into the multi-host training
 //! fabric of [`crate::fabric`].
 //!
-//! PR 8's fabric assumes every host survives every all-reduce. This
-//! module drops that assumption the same way [`crate::churn`] did for
+//! The plain fabric assumes every host survives every all-reduce. A chaos
+//! workload drops that assumption the same way [`crate::churn`] did for
 //! devices inside one host: a deterministic kill schedule fires at a
 //! chosen chunk boundary of a chosen step's collective, the collective
 //! deadline watchdog converts the silence into a typed
-//! [`CollectiveError::HostDown`], and the harness walks the degradation
-//! ladder — per-chunk checksummed retry (inside
-//! [`ChunkedCollective`]), survivor regroup (quarantine + H→H−1
-//! re-begin, bit-identical to a never-failed H−1 fabric), and the ring
-//! fallback under RAS retirement pressure. Hot readmission rebuilds the
-//! lost host from the workload seed, fast-forwards its content streams
-//! ([`ClusterDriver::fast_forward_steps`]), and catches it up from the
-//! pooled parameter state so it converges byte-identically.
+//! [`teco_cxl::CollectiveError::HostDown`], and [`FabricDriver`] walks the
+//! degradation ladder — per-chunk checksummed retry (inside
+//! [`teco_cxl::PoolCollective`]), survivor regroup (quarantine + H→H−1,
+//! bit-identical to a never-failed H−1 fabric), and the ring fallback
+//! under RAS retirement pressure — then hot-readmits the lost host.
 //!
 //! Two structural anchors keep the harness honest:
 //!
-//! - a zero-fault, no-kill chaos workload routes through the plain
-//!   [`FabricDriver`] loop, so its report is **byte-identical** to the
-//!   PR 8 fault-free path;
-//! - the chunk-granular path is suspendable at any chunk boundary
+//! - one driver and one all-reduce engine run every workload, so a
+//!   zero-fault, no-kill chaos run's report is **byte-identical** to the
+//!   plain fabric path;
+//! - the all-reduce is suspendable at any chunk boundary
 //!   ([`run_fabric_chaos_resumed`]): the whole fabric — hosts, engine,
 //!   and the in-flight op — round-trips through the serialized snapshot
 //!   envelope and finishes bit-identically.
 
-use crate::cluster::{ClusterDriver, ClusterWorkloadSnapshot};
 use crate::fabric::{FabricDriver, FabricError, FabricReport, FabricWorkload};
-use crate::resume::StepBoundary;
-use crate::session::SessionError;
+use crate::resume::{RunOutcome, StepBoundary, StepDriver};
 use serde::{Deserialize, Serialize};
-use teco_cxl::{
-    ChunkedCollective, ChunkedCollectiveSnapshot, ChunkedOp, CollectiveError,
-    CollectiveFaultConfig, CollectiveFaultStats, CollectivePhase, HostKill, RasConfig, RasStats,
-};
-use teco_mem::{LineData, LINE_BYTES};
-use teco_sim::{decode_snapshot, encode_snapshot, SimTime, SnapshotError};
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_fold(mut cs: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        cs = (cs ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
-    cs
-}
+use teco_cxl::{CollectiveFaultConfig, CollectiveFaultStats, CollectivePhase, RasConfig, RasStats};
+use teco_sim::{decode_snapshot, encode_snapshot, SnapshotError};
 
 /// A scheduled host kill: the host stops responding at chunk boundary
 /// `chunk` of phase `phase` of step `step`'s all-reduce.
@@ -139,14 +121,7 @@ impl FabricChaosWorkload {
         self
     }
 
-    /// Does this workload need the chunk-granular fault path? A `false`
-    /// here routes through the plain [`FabricDriver`] loop, byte-identical
-    /// to the PR 8 fault-free path.
-    pub fn chunked(&self) -> bool {
-        self.kill.is_some() || self.faults.engaged()
-    }
-
-    fn validate(&self) -> Result<(), FabricError> {
+    pub(crate) fn validate(&self) -> Result<(), FabricError> {
         if let Some(k) = &self.kill {
             if k.host as usize >= self.fabric.hosts {
                 return Err(FabricError::Config(format!(
@@ -216,448 +191,70 @@ pub struct FabricChaosOutcome {
     pub poisoned_admitted: u64,
 }
 
-/// A chaos outcome plus harness-side bookkeeping kept out of it
-/// (mirrors [`crate::fabric::FabricRunOutcome`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FabricChaosRun {
-    /// The byte-identity-comparable outcome.
-    pub outcome: FabricChaosOutcome,
-    /// Snapshots the harness took (0 for an uninterrupted run).
-    pub snapshots_taken: u64,
-    /// Restores the harness performed (0 for an uninterrupted run).
-    pub restores: u64,
-    /// Serialized snapshot size in bytes (0 for an uninterrupted run).
-    pub snapshot_bytes: u64,
-}
-
-/// A readmission scheduled by a detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct PendingReadmit {
-    host: u64,
-    step: u64,
-}
-
-/// Everything the chaos driver holds, captured whole — including the
-/// in-flight collective op when suspended mid-all-reduce.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ChaosSnapshot {
-    hosts: Vec<ClusterWorkloadSnapshot>,
-    alive: Vec<bool>,
-    collective: ChunkedCollectiveSnapshot,
-    op: ChunkedOp,
-    lag: SimTime,
-    exchange_time: SimTime,
-    grad_checksum: u64,
-    param_checksum: u64,
-    step_sums: Vec<u64>,
-    global_grads: Vec<u8>,
-    /// The retained broadcast lines, flattened to bytes (`LineData`
-    /// itself is not serializable).
-    last_params: Vec<u8>,
-    detections: Vec<ChaosDetection>,
-    regroups: u64,
-    typed_errors: u64,
-    steps_done: u64,
-    readmit: Option<PendingReadmit>,
-}
-
-fn flatten_lines(lines: &[LineData]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(lines.len() * LINE_BYTES);
-    for l in lines {
-        out.extend_from_slice(l.bytes());
-    }
-    out
-}
-
-fn unflatten_lines(bytes: &[u8]) -> Vec<LineData> {
-    bytes
-        .chunks_exact(LINE_BYTES)
-        .map(|c| {
-            let mut l = LineData::zeroed();
-            l.bytes_mut().copy_from_slice(c);
-            l
-        })
-        .collect()
-}
-
-/// Mid-collective suspension bookkeeping for the resume harness.
-struct ResumeHarness {
-    at: ChunkPoint,
-    fired: bool,
-    snapshots_taken: u64,
-    restores: u64,
-    snapshot_bytes: u64,
-}
-
-/// The chunk-granular fabric driver: [`FabricDriver`]'s step shape with
-/// the collective driven one chunk at a time through
-/// [`ChunkedCollective`], so kills, faults, and snapshots land at chunk
-/// boundaries.
-struct ChaosDriver {
-    hosts: Vec<ClusterDriver>,
-    alive: Vec<bool>,
-    cc: ChunkedCollective,
-    lag: SimTime,
-    exchange_time: SimTime,
-    grad_checksum: u64,
-    param_checksum: u64,
-    step_sums: Vec<u64>,
-    global_grads: Vec<u8>,
-    last_params: Vec<LineData>,
-    detections: Vec<ChaosDetection>,
-    regroups: u64,
-    typed_errors: u64,
-    steps_done: u64,
-    readmit: Option<PendingReadmit>,
-}
-
-impl ChaosDriver {
-    fn new(w: &FabricChaosWorkload) -> Result<Self, FabricError> {
-        let hosts = (0..w.fabric.hosts)
-            .map(|h| ClusterDriver::for_host(&w.fabric.base, h))
-            .collect::<Result<Vec<_>, SessionError>>()?;
-        Ok(ChaosDriver {
-            alive: vec![true; hosts.len()],
-            hosts,
-            cc: ChunkedCollective::new(w.fabric.collective, w.faults)?,
-            lag: SimTime::ZERO,
-            exchange_time: SimTime::ZERO,
-            grad_checksum: FNV_SEED,
-            param_checksum: FNV_SEED,
-            step_sums: Vec::new(),
-            global_grads: Vec::new(),
-            last_params: Vec::new(),
-            detections: Vec::new(),
-            regroups: 0,
-            typed_errors: 0,
-            steps_done: 0,
-            readmit: None,
-        })
-    }
-
-    fn capture(&self, op: &ChunkedOp) -> ChaosSnapshot {
-        ChaosSnapshot {
-            hosts: self.hosts.iter().map(|d| d.capture()).collect(),
-            alive: self.alive.clone(),
-            collective: self.cc.snapshot(),
-            op: op.clone(),
-            lag: self.lag,
-            exchange_time: self.exchange_time,
-            grad_checksum: self.grad_checksum,
-            param_checksum: self.param_checksum,
-            step_sums: self.step_sums.clone(),
-            global_grads: self.global_grads.clone(),
-            last_params: flatten_lines(&self.last_params),
-            detections: self.detections.clone(),
-            regroups: self.regroups,
-            typed_errors: self.typed_errors,
-            steps_done: self.steps_done,
-            readmit: self.readmit,
-        }
-    }
-
-    fn restore(s: &ChaosSnapshot) -> Result<Self, FabricError> {
-        Ok(ChaosDriver {
-            hosts: s
-                .hosts
-                .iter()
-                .map(ClusterDriver::restore)
-                .collect::<Result<Vec<_>, SessionError>>()?,
-            alive: s.alive.clone(),
-            cc: ChunkedCollective::restore(&s.collective)?,
-            lag: s.lag,
-            exchange_time: s.exchange_time,
-            grad_checksum: s.grad_checksum,
-            param_checksum: s.param_checksum,
-            step_sums: s.step_sums.clone(),
-            global_grads: s.global_grads.clone(),
-            last_params: unflatten_lines(&s.last_params),
-            detections: s.detections.clone(),
-            regroups: s.regroups,
-            typed_errors: s.typed_errors,
-            steps_done: s.steps_done,
-            readmit: s.readmit,
-        })
-    }
-
-    fn max_live_time(&self) -> SimTime {
-        self.hosts
-            .iter()
-            .zip(&self.alive)
-            .filter(|&(_, &a)| a)
-            .map(|(d, _)| d.cluster().cluster_time())
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Hot readmission: rebuild the lost host from the workload seed,
-    /// fast-forward its content streams past every step it missed, and
-    /// catch its replicas up from the pooled parameter state. From here
-    /// on it pushes exactly the lines it would have pushed had it never
-    /// died — byte-identical convergence.
-    fn maybe_readmit(&mut self, w: &FabricChaosWorkload) -> Result<(), FabricError> {
-        let Some(p) = self.readmit else { return Ok(()) };
-        if p.step != self.steps_done {
-            return Ok(());
-        }
-        let host = p.host as usize;
-        let mut fresh = ClusterDriver::for_host(&w.fabric.base, host)?;
-        fresh.fast_forward_steps(self.steps_done);
-        if !self.last_params.is_empty() {
-            fresh.broadcast_lines(&self.last_params)?;
-        }
-        // After the catch-up broadcast: the next activation check must
-        // see the same step index a never-failed host's would, so the
-        // DBA schedule (and the stale bytes its dirty-byte merge leaves
-        // behind) lines up byte-for-byte.
-        fresh.align_step(self.steps_done);
-        self.hosts[host] = fresh;
-        self.alive[host] = true;
-        self.cc.readmit_host(host);
-        self.readmit = None;
-        Ok(())
-    }
-
-    /// Stage the live hosts' accumulators and drive the all-reduce one
-    /// chunk at a time. A watchdog [`CollectiveError::HostDown`] is
-    /// absorbed here: quarantine, regroup over the survivors, re-begin.
-    /// The resume harness (if armed) suspends, serializes, and restores
-    /// the whole driver at its chunk boundary.
-    fn exchange(
-        &mut self,
-        w: &FabricChaosWorkload,
-        mut kill_now: Option<HostKill>,
-        mut harness: Option<&mut ResumeHarness>,
-    ) -> Result<(), FabricError> {
-        let n = self.hosts.len();
-        let mut staged: Vec<Vec<u8>> = vec![Vec::new(); n];
-        let mut ready = vec![SimTime::ZERO; n];
-        for h in 0..n {
-            if self.alive[h] {
-                self.hosts[h].cluster().pool().copy_grad_bytes_into(&mut staged[h]);
-                ready[h] = self.hosts[h].cluster().cluster_time() + self.lag;
-            }
-        }
-        let mut op = self.cc.begin_all_reduce(&staged, &ready)?;
-        loop {
-            if let Some(h) = harness.as_deref_mut() {
-                if !h.fired
-                    && !op.done
-                    && h.at.step == self.steps_done
-                    && h.at.phase == op.phase
-                    && h.at.chunk == op.flat
-                {
-                    h.fired = true;
-                    let bytes = encode_snapshot(&self.capture(&op));
-                    h.snapshots_taken += 1;
-                    h.snapshot_bytes = bytes.len() as u64;
-                    let snap: ChaosSnapshot = decode_snapshot(&bytes)
-                        .map_err(|e: SnapshotError| FabricError::Config(e.to_string()))?;
-                    h.restores += 1;
-                    op = snap.op.clone();
-                    *self = ChaosDriver::restore(&snap)?;
-                }
-            }
-            match self.cc.step_chunk(&mut op, kill_now.as_ref()) {
-                Ok(true) => break,
-                Ok(false) => {}
-                Err(CollectiveError::HostDown { host, phase, chunk, time_ns }) => {
-                    self.detections.push(ChaosDetection {
-                        host,
-                        step: self.steps_done,
-                        phase,
-                        chunk,
-                        time_ns,
-                    });
-                    self.typed_errors += 1;
-                    self.cc.quarantine_host(host as usize);
-                    self.alive[host as usize] = false;
-                    self.regroups += 1;
-                    if let Some(after) = w.readmit_after {
-                        self.readmit =
-                            Some(PendingReadmit { host, step: self.steps_done + 1 + after });
-                    }
-                    kill_now = None;
-                    op = self.cc.begin_all_reduce(&staged, &ready)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let (result, outcome) = op.into_result()?;
-        self.lag = outcome.completion.saturating_sub(self.max_live_time());
-        self.exchange_time += outcome.completion - outcome.start;
-        self.grad_checksum = fnv_fold(self.grad_checksum, &result);
-        self.step_sums.push(fnv_fold(FNV_SEED, &result));
-        self.global_grads = result;
-        Ok(())
-    }
-
-    /// One fabric step with the chaos machinery in the loop: pending
-    /// readmission → per-host grad fences → chunked inter-host exchange
-    /// (kills land here) → activation checks → one shared parameter
-    /// update drawn from the lowest live host's pool stream.
-    fn run_chaos_step(
-        &mut self,
-        w: &FabricChaosWorkload,
-        harness: Option<&mut ResumeHarness>,
-    ) -> Result<(), FabricError> {
-        self.maybe_readmit(w)?;
-        let kill_now = w.kill.as_ref().and_then(|k| {
-            (k.step == self.steps_done).then_some(HostKill {
-                host: k.host,
-                phase: k.phase,
-                chunk: k.chunk,
-            })
-        });
-        for h in 0..self.hosts.len() {
-            if self.alive[h] {
-                self.hosts[h].run_step_until(StepBoundary::AfterGradFence)?;
-            }
-        }
-        self.exchange(w, kill_now, harness)?;
-        for h in 0..self.hosts.len() {
-            if self.alive[h] {
-                self.hosts[h].check_activation();
-            }
-        }
-        let drawer =
-            self.alive.iter().position(|&a| a).ok_or_else(|| {
-                FabricError::Config("no live hosts left to draw parameters".into())
-            })?;
-        let mut lines = std::mem::take(&mut self.last_params);
-        self.hosts[drawer].draw_param_lines(&mut lines);
-        for line in &lines {
-            self.param_checksum = fnv_fold(self.param_checksum, line.bytes());
-        }
-        for h in 0..self.hosts.len() {
-            if self.alive[h] {
-                self.hosts[h].broadcast_lines(&lines)?;
-            }
-        }
-        self.last_params = lines;
-        self.steps_done += 1;
-        Ok(())
-    }
-
-    fn report(&self) -> FabricReport {
-        let stats = self.cc.pool().stats();
-        FabricReport {
-            hosts: self.hosts.len() as u64,
-            steps: self.steps_done,
-            fabric_time_ns: (self.max_live_time() + self.lag).as_ns(),
-            exchange_ns: self.exchange_time.as_ns(),
-            all_reduces: stats.all_reduces,
-            pool_port_bytes: stats.port_bytes,
-            pool_media_bytes: stats.media_bytes,
-            fanin_saved_bytes: self.cc.pool().media().fanin_saved_bytes(),
-            global_grad_checksum: self.grad_checksum,
-            host_reports: self.hosts.iter().map(|d| d.report()).collect(),
-        }
-    }
-
-    fn into_outcome(self) -> FabricChaosOutcome {
-        let report = self.report();
-        let fstats = self.cc.fault_stats();
-        FabricChaosOutcome {
-            device_checksums: report
-                .host_reports
-                .iter()
-                .map(|hr| hr.devices.iter().map(|d| d.device_checksum).collect())
-                .collect(),
-            live_hosts: self.alive.iter().filter(|&&a| a).count() as u64,
-            regroups: self.regroups,
-            readmissions: fstats.readmissions,
-            typed_errors: self.typed_errors,
-            ras: self.cc.ras_stats(),
-            poisoned_admitted: fstats.poisoned_admitted,
-            fstats,
-            detections: self.detections,
-            step_grad_checksums: self.step_sums,
-            param_checksum: self.param_checksum,
-            report,
-        }
-    }
-}
-
-fn run_chaos_inner(
+/// Run the chaos workload start to finish.
+pub fn run_fabric_chaos(
     w: &FabricChaosWorkload,
-    suspend: Option<ChunkPoint>,
-    force_chunked: bool,
-) -> Result<FabricChaosRun, FabricError> {
-    w.validate()?;
-    if !force_chunked && !w.chunked() {
-        // The PR 8 anchor: with nothing armed, the chaos harness IS the
-        // plain fabric loop — same driver, same report bytes.
-        let mut d = FabricDriver::new(&w.fabric)?;
-        let mut step_sums = Vec::new();
-        let mut param_checksum = FNV_SEED;
-        for _ in 0..w.fabric.base.steps {
-            d.run_step()?;
-            step_sums.push(fnv_fold(FNV_SEED, d.global_grads()));
-            for line in d.last_params() {
-                param_checksum = fnv_fold(param_checksum, line.bytes());
-            }
-        }
-        let report = d.report();
-        let outcome = FabricChaosOutcome {
-            device_checksums: report
-                .host_reports
-                .iter()
-                .map(|hr| hr.devices.iter().map(|dv| dv.device_checksum).collect())
-                .collect(),
-            live_hosts: report.hosts,
-            regroups: 0,
-            readmissions: 0,
-            typed_errors: 0,
-            fstats: CollectiveFaultStats::default(),
-            ras: RasStats::default(),
-            poisoned_admitted: 0,
-            detections: Vec::new(),
-            step_grad_checksums: step_sums,
-            param_checksum,
-            report,
-        };
-        return Ok(FabricChaosRun { outcome, snapshots_taken: 0, restores: 0, snapshot_bytes: 0 });
-    }
-
-    let mut drv = ChaosDriver::new(w)?;
-    let mut harness = suspend.map(|at| ResumeHarness {
-        at,
-        fired: false,
-        snapshots_taken: 0,
-        restores: 0,
-        snapshot_bytes: 0,
-    });
-    for _ in 0..w.fabric.base.steps {
-        drv.run_chaos_step(w, harness.as_mut())?;
-    }
-    let (snapshots_taken, restores, snapshot_bytes) =
-        harness.map(|h| (h.snapshots_taken, h.restores, h.snapshot_bytes)).unwrap_or((0, 0, 0));
-    Ok(FabricChaosRun { outcome: drv.into_outcome(), snapshots_taken, restores, snapshot_bytes })
-}
-
-/// Run the chaos workload start to finish. Zero-fault, no-kill
-/// workloads route through the plain [`FabricDriver`] loop
-/// (byte-identical to the PR 8 path); anything armed routes through the
-/// chunk-granular fault path.
-pub fn run_fabric_chaos(w: &FabricChaosWorkload) -> Result<FabricChaosRun, FabricError> {
-    run_chaos_inner(w, None, false)
-}
-
-/// Run the chaos workload on the chunk-granular path unconditionally —
-/// the uninterrupted baseline the mid-collective resume oracle compares
-/// against.
-pub fn run_fabric_chaos_chunked(w: &FabricChaosWorkload) -> Result<FabricChaosRun, FabricError> {
-    run_chaos_inner(w, None, true)
+) -> Result<RunOutcome<FabricChaosOutcome>, FabricError> {
+    run_chaos(w, None)
 }
 
 /// Run the chaos workload, suspend the whole fabric at chunk boundary
 /// `at` **inside** that step's all-reduce, round-trip every host, the
 /// collective engine, and the in-flight op through the serialized
-/// snapshot envelope, and finish. The returned `outcome` must serialize
-/// byte-identical to [`run_fabric_chaos_chunked`]'s.
+/// snapshot envelope, and finish. The returned `report` must serialize
+/// byte-identical to [`run_fabric_chaos`]'s.
 pub fn run_fabric_chaos_resumed(
     w: &FabricChaosWorkload,
     at: ChunkPoint,
-) -> Result<FabricChaosRun, FabricError> {
-    run_chaos_inner(w, Some(at), true)
+) -> Result<RunOutcome<FabricChaosOutcome>, FabricError> {
+    run_chaos(w, Some(at))
+}
+
+fn run_chaos(
+    w: &FabricChaosWorkload,
+    suspend: Option<ChunkPoint>,
+) -> Result<RunOutcome<FabricChaosOutcome>, FabricError> {
+    let mut d = FabricDriver::chaos(w)?;
+    let (mut snapshots, mut snapshot_bytes) = (0, 0);
+    while d.step() < w.fabric.base.steps {
+        let Some(at) = suspend.filter(|at| at.step == d.step()) else {
+            d.run_step()?;
+            continue;
+        };
+        if d.run_step_until_chunk(at)? {
+            let bytes = encode_snapshot(&d.capture());
+            (snapshots, snapshot_bytes) = (1, bytes.len() as u64);
+            drop(d);
+            let snap = decode_snapshot(&bytes)
+                .map_err(|e: SnapshotError| FabricError::Config(e.to_string()))?;
+            d = FabricDriver::restore(&snap)?;
+        }
+        d.finish_step_from(StepBoundary::AfterGradFence)?;
+    }
+    let report = d.report();
+    let fstats = d.collective().fault_stats();
+    Ok(RunOutcome {
+        report: FabricChaosOutcome {
+            device_checksums: report
+                .host_reports
+                .iter()
+                .map(|hr| hr.devices.iter().map(|dv| dv.device_checksum).collect())
+                .collect(),
+            live_hosts: d.live_hosts(),
+            regroups: d.detections().len() as u64,
+            readmissions: fstats.readmissions,
+            typed_errors: d.detections().len() as u64,
+            ras: d.collective().ras_stats(),
+            poisoned_admitted: fstats.poisoned_admitted,
+            fstats,
+            detections: d.detections().to_vec(),
+            step_grad_checksums: d.step_grad_checksums().to_vec(),
+            param_checksum: d.param_checksum(),
+            report,
+        },
+        snapshots_taken: snapshots,
+        restores: snapshots,
+        snapshot_bytes,
+        last_audit_error: d.audit_status(),
+    })
 }

@@ -39,18 +39,17 @@ pub use churn::{
     KillSpec,
 };
 pub use cluster::{
-    run_cluster_resumed, run_cluster_uninterrupted, ClusterConfig, ClusterDriver, ClusterReport,
-    ClusterRunOutcome, ClusterSession, ClusterSnapshot, ClusterWorkload, ClusterWorkloadSnapshot,
-    CpuPool, CpuPoolSnapshot, HostLinkReport,
+    ClusterConfig, ClusterDriver, ClusterReport, ClusterSession, ClusterSnapshot, ClusterWorkload,
+    ClusterWorkloadSnapshot, CpuPool, CpuPoolSnapshot, HostLinkReport,
 };
 pub use config::TecoConfig;
 pub use fabric::{
-    host0_matches_cluster_path, run_fabric_resumed, run_fabric_uninterrupted, FabricDriver,
-    FabricError, FabricReport, FabricRunOutcome, FabricSnapshot, FabricWorkload,
+    host0_matches_cluster_path, FabricDriver, FabricError, FabricReport, FabricSnapshot,
+    FabricWorkload,
 };
 pub use fabric_chaos::{
-    run_fabric_chaos, run_fabric_chaos_chunked, run_fabric_chaos_resumed, ChaosDetection,
-    ChunkPoint, FabricChaosOutcome, FabricChaosRun, FabricChaosWorkload, HostKillSpec,
+    run_fabric_chaos, run_fabric_chaos_resumed, ChaosDetection, ChunkPoint, FabricChaosOutcome,
+    FabricChaosWorkload, HostKillSpec,
 };
 pub use placement::{
     PlacementEngine, PlacementEngineSnapshot, PlacementPolicy, PlacementStats, TensorClass,
@@ -58,7 +57,7 @@ pub use placement::{
 };
 pub use resume::{
     run_resumed, run_uninterrupted, KillPoint, ResumeReport, ResumeWorkload, RunOutcome,
-    StepBoundary, WorkloadSnapshot,
+    StepBoundary, StepDriver, StepWorkload, WorkloadSnapshot,
 };
 pub use session::{SessionError, SessionSnapshot, SessionStats, TecoSession};
 pub use trainer::{TecoTrainer, TrainStepReport, TrainerSnapshot};

@@ -101,19 +101,122 @@ pub struct ResumeReport {
 }
 
 /// A report plus the harness-side bookkeeping that must stay *out* of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunOutcome {
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutcome<R> {
     /// The byte-identity-comparable report.
-    pub report: ResumeReport,
+    pub report: R,
     /// Snapshots the harness took (0 for an uninterrupted run).
     pub snapshots_taken: u64,
     /// Restores the harness performed (0 for an uninterrupted run).
     pub restores: u64,
     /// Serialized snapshot size in bytes (0 for an uninterrupted run).
     pub snapshot_bytes: u64,
-    /// The final audit walk's failure message; `None` when auditing is off
-    /// or the walk passed.
+    /// The final audit walk's first failure message; `None` when auditing
+    /// is off or every walk passed.
     pub last_audit_error: Option<String>,
+}
+
+/// A layer's step driver as the one run/kill/resume loop
+/// ([`run_uninterrupted`], [`run_resumed`]) drives it: the session
+/// harness's [`Driver`], [`crate::cluster::ClusterDriver`] and
+/// [`crate::fabric::FabricDriver`].
+pub trait StepDriver: Sized {
+    /// The workload the driver runs.
+    type Workload;
+    /// Everything the driver holds between steps, captured whole.
+    type Snapshot: Serialize + Deserialize;
+    /// The byte-identity-comparable report.
+    type Report;
+    /// The layer's typed error.
+    type Error;
+    /// Build the driver at step 0.
+    fn new(w: &Self::Workload) -> Result<Self, Self::Error>;
+    /// Completed steps.
+    fn step(&self) -> u64;
+    /// Run the current step from its start up to (and including) `until`.
+    fn run_step_until(&mut self, until: StepBoundary) -> Result<(), Self::Error>;
+    /// Finish the current step from `after` (exclusive) to its end.
+    fn finish_step_from(&mut self, after: StepBoundary) -> Result<(), Self::Error>;
+    /// Capture the driver whole.
+    fn capture(&self) -> Self::Snapshot;
+    /// Rebuild a driver from a captured state.
+    fn restore(s: &Self::Snapshot) -> Result<Self, Self::Error>;
+    /// The report at the current step.
+    fn report(&self) -> Self::Report;
+    /// The final audit walk's first failure; `None` when auditing is off
+    /// or the walk passed.
+    fn audit_status(&self) -> Option<String>;
+    /// The layer's configuration error carrying `msg`.
+    fn config_error(msg: String) -> Self::Error;
+}
+
+/// A workload the run/kill/resume loop can run: its step count and the
+/// driver that runs it.
+pub trait StepWorkload {
+    /// The driver that runs this workload.
+    type Driver: StepDriver<Workload = Self>;
+    /// Training steps to simulate.
+    fn steps(&self) -> u64;
+}
+
+type RunResult<W> = Result<
+    RunOutcome<<<W as StepWorkload>::Driver as StepDriver>::Report>,
+    <<W as StepWorkload>::Driver as StepDriver>::Error,
+>;
+
+/// Run the workload start to finish with no interruption.
+pub fn run_uninterrupted<W: StepWorkload>(w: &W) -> RunResult<W> {
+    let mut d = W::Driver::new(w)?;
+    for _ in 0..w.steps() {
+        d.run_step_until(StepBoundary::AfterParamFence)?;
+    }
+    Ok(RunOutcome {
+        report: d.report(),
+        snapshots_taken: 0,
+        restores: 0,
+        snapshot_bytes: 0,
+        last_audit_error: d.audit_status(),
+    })
+}
+
+/// Run the workload, kill it at `kill`, restore from serialized bytes, and
+/// finish. The returned outcome's `report` must serialize byte-identical
+/// to [`run_uninterrupted`]'s. A kill step outside the run is the
+/// driver's configuration error.
+pub fn run_resumed<W: StepWorkload>(w: &W, kill: KillPoint) -> RunResult<W> {
+    if kill.step >= w.steps() {
+        return Err(W::Driver::config_error(format!(
+            "kill step {} out of range {}",
+            kill.step,
+            w.steps()
+        )));
+    }
+    let mut d = W::Driver::new(w)?;
+    for _ in 0..kill.step {
+        d.run_step_until(StepBoundary::AfterParamFence)?;
+    }
+    d.run_step_until(kill.boundary)?;
+
+    // The kill: serialize, destroy every piece of live state, restore from
+    // nothing but the bytes.
+    let bytes = encode_snapshot(&d.capture());
+    let snapshot_bytes = bytes.len() as u64;
+    drop(d);
+    let snap = decode_snapshot(&bytes)
+        .map_err(|e: SnapshotError| W::Driver::config_error(e.to_string()))?;
+    let mut d = W::Driver::restore(&snap)?;
+
+    d.finish_step_from(kill.boundary)?;
+    while d.step() < w.steps() {
+        d.run_step_until(StepBoundary::AfterParamFence)?;
+    }
+    Ok(RunOutcome {
+        report: d.report(),
+        snapshots_taken: 1,
+        restores: 1,
+        snapshot_bytes,
+        last_audit_error: d.audit_status(),
+    })
 }
 
 /// Everything the workload driver holds between steps, captured whole.
@@ -134,8 +237,16 @@ pub struct WorkloadSnapshot {
     pub grad_base: u64,
 }
 
-/// Live driver state (what a kill destroys).
-struct Driver {
+impl StepWorkload for ResumeWorkload {
+    type Driver = Driver;
+    fn steps(&self) -> u64 {
+        self.steps
+    }
+}
+
+/// Live driver state of the session harness (what a kill destroys).
+#[derive(Debug)]
+pub struct Driver {
     session: TecoSession,
     rng: SimRng,
     now: SimTime,
@@ -145,42 +256,6 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(w: &ResumeWorkload) -> Result<Self, SessionError> {
-        let mut session = TecoSession::new(w.cfg.clone())?;
-        let (_, param_base) = session.alloc_tensor("params", w.param_lines * LINE_BYTES as u64)?;
-        let (_, grad_base) = session.alloc_tensor("grads", w.grad_lines * LINE_BYTES as u64)?;
-        Ok(Driver {
-            session,
-            rng: SimRng::seed_from_u64(w.seed),
-            now: SimTime::ZERO,
-            step: 0,
-            param_base,
-            grad_base,
-        })
-    }
-
-    fn capture(&self) -> WorkloadSnapshot {
-        WorkloadSnapshot {
-            session: self.session.snapshot(),
-            rng: self.rng.state(),
-            now_ps: self.now.as_ps(),
-            step: self.step,
-            param_base: self.param_base.0,
-            grad_base: self.grad_base.0,
-        }
-    }
-
-    fn restore(s: &WorkloadSnapshot) -> Result<Self, SessionError> {
-        Ok(Driver {
-            session: TecoSession::from_snapshot(&s.session)?,
-            rng: SimRng::from_state(s.rng),
-            now: SimTime::from_ps(s.now_ps),
-            step: s.step,
-            param_base: Addr(s.param_base),
-            grad_base: Addr(s.grad_base),
-        })
-    }
-
     fn random_line(&mut self) -> LineData {
         let mut l = LineData::zeroed();
         for w in 0..(LINE_BYTES / 4) {
@@ -203,7 +278,40 @@ impl Driver {
             .expect("param region was allocated at driver construction")
     }
 
-    /// Run the current step from its start up to (and including) `until`.
+    /// Bulk parameter push + fence (inside optimizer.step()).
+    fn push_params_and_fence(&mut self) -> Result<(), SessionError> {
+        let n = self.param_lines();
+        let lines: Vec<LineData> = (0..n).map(|_| self.random_line()).collect();
+        self.session.push_param_lines(self.param_base, &lines, self.now)?;
+        self.now = self.session.cxlfence_params(self.now);
+        Ok(())
+    }
+}
+
+impl StepDriver for Driver {
+    type Workload = ResumeWorkload;
+    type Snapshot = WorkloadSnapshot;
+    type Report = ResumeReport;
+    type Error = SessionError;
+
+    fn new(w: &ResumeWorkload) -> Result<Self, SessionError> {
+        let mut session = TecoSession::new(w.cfg.clone())?;
+        let (_, param_base) = session.alloc_tensor("params", w.param_lines * LINE_BYTES as u64)?;
+        let (_, grad_base) = session.alloc_tensor("grads", w.grad_lines * LINE_BYTES as u64)?;
+        Ok(Driver {
+            session,
+            rng: SimRng::seed_from_u64(w.seed),
+            now: SimTime::ZERO,
+            step: 0,
+            param_base,
+            grad_base,
+        })
+    }
+
+    fn step(&self) -> u64 {
+        self.step
+    }
+
     fn run_step_until(&mut self, until: StepBoundary) -> Result<(), SessionError> {
         // Gradient flush + fence (inside loss.backward()).
         for i in 0..self.grad_lines() {
@@ -228,35 +336,51 @@ impl Driver {
         Ok(())
     }
 
-    /// Finish the current step from `after` (exclusive) to its end.
     fn finish_step_from(&mut self, after: StepBoundary) -> Result<(), SessionError> {
         match after {
-            StepBoundary::AfterParamFence => Ok(()), // step completed pre-kill
+            StepBoundary::AfterParamFence => return Ok(()), // step completed pre-kill
             StepBoundary::AfterGradFence => {
                 self.session.check_activation(self.step);
-                self.push_params_and_fence()?;
-                self.step += 1;
-                Ok(())
             }
-            StepBoundary::AfterActivation => {
-                self.push_params_and_fence()?;
-                self.step += 1;
-                Ok(())
-            }
+            StepBoundary::AfterActivation => {}
         }
-    }
-
-    /// Bulk parameter push + fence (inside optimizer.step()).
-    fn push_params_and_fence(&mut self) -> Result<(), SessionError> {
-        let n = self.param_lines();
-        let lines: Vec<LineData> = (0..n).map(|_| self.random_line()).collect();
-        self.session.push_param_lines(self.param_base, &lines, self.now)?;
-        self.now = self.session.cxlfence_params(self.now);
+        self.push_params_and_fence()?;
+        self.step += 1;
         Ok(())
     }
 
-    fn report(&self, steps: u64) -> ResumeReport {
-        device_report(&self.session, steps, self.now)
+    fn capture(&self) -> WorkloadSnapshot {
+        WorkloadSnapshot {
+            session: self.session.snapshot(),
+            rng: self.rng.state(),
+            now_ps: self.now.as_ps(),
+            step: self.step,
+            param_base: self.param_base.0,
+            grad_base: self.grad_base.0,
+        }
+    }
+
+    fn restore(s: &WorkloadSnapshot) -> Result<Self, SessionError> {
+        Ok(Driver {
+            session: TecoSession::from_snapshot(&s.session)?,
+            rng: SimRng::from_state(s.rng),
+            now: SimTime::from_ps(s.now_ps),
+            step: s.step,
+            param_base: Addr(s.param_base),
+            grad_base: Addr(s.grad_base),
+        })
+    }
+
+    fn report(&self) -> ResumeReport {
+        device_report(&self.session, self.step, self.now)
+    }
+
+    fn audit_status(&self) -> Option<String> {
+        audit_status(&self.session)
+    }
+
+    fn config_error(msg: String) -> SessionError {
+        SessionError::Config(msg)
     }
 }
 
@@ -288,62 +412,6 @@ pub(crate) fn device_report(session: &TecoSession, steps: u64, now: SimTime) -> 
         device_checksum: h,
         audit_enabled: session.audit_enabled(),
     }
-}
-
-/// Run the workload start to finish with no interruption.
-pub fn run_uninterrupted(w: &ResumeWorkload) -> Result<RunOutcome, SessionError> {
-    let mut d = Driver::new(w)?;
-    for _ in 0..w.steps {
-        d.run_step_until(StepBoundary::AfterParamFence)?;
-    }
-    let last_audit_error = audit_status(&d.session);
-    Ok(RunOutcome {
-        report: d.report(w.steps),
-        snapshots_taken: 0,
-        restores: 0,
-        snapshot_bytes: 0,
-        last_audit_error,
-    })
-}
-
-/// Run the workload, kill it at `kill`, restore from serialized bytes, and
-/// finish. The returned outcome's `report` must serialize byte-identical
-/// to [`run_uninterrupted`]'s. A kill step outside the run is a
-/// [`SessionError::Config`].
-pub fn run_resumed(w: &ResumeWorkload, kill: KillPoint) -> Result<RunOutcome, SessionError> {
-    if kill.step >= w.steps {
-        return Err(SessionError::Config(format!(
-            "kill step {} out of range {}",
-            kill.step, w.steps
-        )));
-    }
-    let mut d = Driver::new(w)?;
-    for _ in 0..kill.step {
-        d.run_step_until(StepBoundary::AfterParamFence)?;
-    }
-    d.run_step_until(kill.boundary)?;
-
-    // The kill: serialize, destroy every piece of live state, restore from
-    // nothing but the bytes.
-    let bytes = encode_snapshot(&d.capture());
-    let snapshot_bytes = bytes.len() as u64;
-    drop(d);
-    let snap: WorkloadSnapshot =
-        decode_snapshot(&bytes).map_err(|e: SnapshotError| SessionError::Config(e.to_string()))?;
-    let mut d = Driver::restore(&snap)?;
-
-    d.finish_step_from(kill.boundary)?;
-    while d.step < w.steps {
-        d.run_step_until(StepBoundary::AfterParamFence)?;
-    }
-    let last_audit_error = audit_status(&d.session);
-    Ok(RunOutcome {
-        report: d.report(w.steps),
-        snapshots_taken: 1,
-        restores: 1,
-        snapshot_bytes,
-        last_audit_error,
-    })
 }
 
 /// The final audit walk's status: `None` when auditing is off or the walk

@@ -1,6 +1,6 @@
-//! Acceptance suite for the fabric chaos harness (ISSUE 9):
+//! Acceptance suite for the fabric chaos workloads:
 //!
-//! - zero-fault chaos is byte-identical to the PR 8 fault-free fabric;
+//! - zero-fault chaos is byte-identical to the plain fault-free fabric;
 //! - a kill at **every** chunk boundary of an H=4 all-reduce is
 //!   detected by the watchdog and the regrouped fabric reduces
 //!   bit-identically to a never-failed H=3 fabric, with byte-identical
@@ -8,15 +8,15 @@
 //! - a readmitted host converges byte-identically;
 //! - zero poisoned bytes are admitted under any swept media-fault rate;
 //! - a mid-collective snapshot at a chunk boundary resumes
-//!   bit-identically for H ∈ {2, 4} (satellite: fabric snapshot/resume
-//!   inside the all-reduce).
+//!   bit-identically for H ∈ {2, 4}, and a hand-edited in-flight op is a
+//!   typed error on restore.
 
-use teco_core::fabric::run_fabric_uninterrupted;
+use teco_core::fabric::{FabricDriver, FabricError};
 use teco_core::fabric_chaos::{
-    run_fabric_chaos, run_fabric_chaos_chunked, run_fabric_chaos_resumed, ChunkPoint,
-    FabricChaosWorkload, HostKillSpec,
+    run_fabric_chaos, run_fabric_chaos_resumed, ChunkPoint, FabricChaosWorkload, HostKillSpec,
 };
-use teco_cxl::CollectivePhase;
+use teco_core::{run_uninterrupted, StepDriver};
+use teco_cxl::{CollectiveOp, CollectivePhase};
 
 const PHASES: [CollectivePhase; 2] = [CollectivePhase::ReduceScatter, CollectivePhase::AllGather];
 
@@ -34,22 +34,21 @@ fn small_chaos(hosts: usize, seed: u64) -> FabricChaosWorkload {
 fn zero_fault_chaos_is_byte_identical_to_the_fabric_path() {
     for hosts in [1usize, 2, 4] {
         let w = small_chaos(hosts, 21);
-        assert!(!w.chunked(), "nothing armed must route through the plain fabric loop");
         let chaos = run_fabric_chaos(&w).unwrap();
-        let fabric = run_fabric_uninterrupted(&w.fabric).unwrap();
+        let fabric = run_uninterrupted(&w.fabric).unwrap();
         assert_eq!(
-            serde_json::to_string(&chaos.outcome.report).unwrap(),
+            serde_json::to_string(&chaos.report.report).unwrap(),
             serde_json::to_string(&fabric.report).unwrap(),
-            "H={hosts}: zero-fault chaos report must be byte-identical to PR 8's"
+            "H={hosts}: zero-fault chaos report must be byte-identical to the plain fabric's"
         );
         assert_eq!(chaos.snapshots_taken, 0);
-        assert!(chaos.outcome.detections.is_empty());
+        assert!(chaos.report.detections.is_empty());
     }
 }
 
 #[test]
 fn kill_at_every_chunk_boundary_regroups_bit_identically_to_h3() {
-    let golden = run_fabric_chaos(&small_chaos(3, 33)).unwrap().outcome;
+    let golden = run_fabric_chaos(&small_chaos(3, 33)).unwrap().report;
     let kill_step = 1u64;
     // 512 B / 4 shards = 128 B per shard = 2 chunks of 64 B → 8 flat
     // items per phase at H=4.
@@ -61,7 +60,7 @@ fn kill_at_every_chunk_boundary_regroups_bit_identically_to_h3() {
                 phase,
                 chunk,
             });
-            let out = run_fabric_chaos(&w).unwrap().outcome;
+            let out = run_fabric_chaos(&w).unwrap().report;
             assert_eq!(out.detections.len(), 1, "{phase:?} chunk {chunk}");
             let d = out.detections[0];
             assert_eq!((d.host, d.step, d.phase), (3, kill_step, phase));
@@ -91,7 +90,7 @@ fn readmitted_host_converges_byte_identically() {
     w.fabric.base.steps = 6;
     let mut golden_w = small_chaos(4, 44);
     golden_w.fabric.base.steps = 6;
-    let golden = run_fabric_chaos_chunked(&golden_w).unwrap().outcome;
+    let golden = run_fabric_chaos(&golden_w).unwrap().report;
 
     let w = w
         .with_kill(HostKillSpec {
@@ -101,7 +100,7 @@ fn readmitted_host_converges_byte_identically() {
             chunk: 2,
         })
         .with_readmit_after(1);
-    let out = run_fabric_chaos(&w).unwrap().outcome;
+    let out = run_fabric_chaos(&w).unwrap().report;
     assert_eq!(out.readmissions, 1);
     assert_eq!(out.live_hosts, 4, "the lost host must be back in the live set");
     // The readmitted host's replicas hold exactly the bytes they would
@@ -118,10 +117,10 @@ fn readmitted_host_converges_byte_identically() {
 
 #[test]
 fn no_poison_admitted_under_any_swept_media_rate() {
-    let golden = run_fabric_chaos(&small_chaos(4, 55)).unwrap().outcome;
+    let golden = run_fabric_chaos(&small_chaos(4, 55)).unwrap().report;
     for rate in [0.25, 1.0, 4.0] {
         let w = small_chaos(4, 55).with_media_faults(rate);
-        let out = run_fabric_chaos(&w).unwrap().outcome;
+        let out = run_fabric_chaos(&w).unwrap().report;
         assert_eq!(out.poisoned_admitted, 0, "rate {rate}: poison reached a reduction");
         // Detected staging faults are re-served from the pristine source
         // replica, so the reduced data never moves.
@@ -138,9 +137,9 @@ fn no_poison_admitted_under_any_swept_media_rate() {
 
 #[test]
 fn retirement_pressure_trips_the_ring_fallback_at_the_fabric_level() {
-    let golden = run_fabric_chaos(&small_chaos(4, 66)).unwrap().outcome;
+    let golden = run_fabric_chaos(&small_chaos(4, 66)).unwrap().report;
     let w = small_chaos(4, 66).with_media_faults(8.0).with_ring_fallback(1);
-    let out = run_fabric_chaos(&w).unwrap().outcome;
+    let out = run_fabric_chaos(&w).unwrap().report;
     assert!(out.fstats.ring_fallbacks > 0, "retirement pressure never tripped rung 3");
     assert_eq!(out.poisoned_admitted, 0);
     // The ring fallback reduces the same data, just over a different
@@ -153,7 +152,7 @@ fn retirement_pressure_trips_the_ring_fallback_at_the_fabric_level() {
 fn mid_collective_resume_is_bit_identical_for_h2_and_h4() {
     for hosts in [2usize, 4] {
         let w = small_chaos(hosts, 77).with_port_fault_rate(0.25);
-        let baseline = run_fabric_chaos_chunked(&w).unwrap();
+        let baseline = run_fabric_chaos(&w).unwrap();
         for phase in PHASES {
             for chunk in [0u64, 1, 3] {
                 let at = ChunkPoint { step: 1, phase, chunk };
@@ -162,8 +161,8 @@ fn mid_collective_resume_is_bit_identical_for_h2_and_h4() {
                 assert_eq!(resumed.restores, 1);
                 assert!(resumed.snapshot_bytes > 0);
                 assert_eq!(
-                    serde_json::to_string(&resumed.outcome).unwrap(),
-                    serde_json::to_string(&baseline.outcome).unwrap(),
+                    serde_json::to_string(&resumed.report).unwrap(),
+                    serde_json::to_string(&baseline.report).unwrap(),
                     "H={hosts} {phase:?} chunk {chunk}: mid-collective resume diverged"
                 );
             }
@@ -172,18 +171,41 @@ fn mid_collective_resume_is_bit_identical_for_h2_and_h4() {
 }
 
 #[test]
-fn zero_fault_chunked_data_matches_the_plain_path() {
-    // The chunk-granular engine and the closed-form collective must
-    // agree on every piece of training data (timing models differ).
-    for hosts in [2usize, 3, 4] {
-        let w = small_chaos(hosts, 88);
-        let plain = run_fabric_chaos(&w).unwrap().outcome;
-        let chunked = run_fabric_chaos_chunked(&w).unwrap().outcome;
-        assert_eq!(chunked.step_grad_checksums, plain.step_grad_checksums);
-        assert_eq!(chunked.param_checksum, plain.param_checksum);
-        assert_eq!(chunked.device_checksums, plain.device_checksums);
-        assert_eq!(chunked.report.global_grad_checksum, plain.report.global_grad_checksum);
-        assert_eq!(chunked.report.pool_port_bytes, plain.report.pool_port_bytes);
-        assert_eq!(chunked.report.pool_media_bytes, plain.report.pool_media_bytes);
+fn a_hand_edited_in_flight_op_is_a_config_error_on_restore() {
+    let w = small_chaos(4, 99);
+    let mut d = FabricDriver::chaos(&w).unwrap();
+    d.run_step().unwrap();
+    let at = ChunkPoint { step: 1, phase: CollectivePhase::AllGather, chunk: 3 };
+    assert!(d.run_step_until_chunk(at).unwrap(), "the op must suspend at the chunk point");
+    let snap = d.capture();
+    assert!(FabricDriver::restore(&snap).is_ok());
+    type Edit = fn(&mut CollectiveOp);
+    let edits: [(&str, Edit); 7] = [
+        ("live not ascending", |op| op.live.swap(0, 1)),
+        ("live host out of range", |op| op.live[3] = 4),
+        ("inputs count", |op| {
+            op.inputs.pop();
+        }),
+        ("reduced count", |op| {
+            op.reduced.pop();
+        }),
+        ("clocks count", |op| {
+            op.clocks.pop();
+        }),
+        ("input length", |op| op.inputs[2].truncate(8)),
+        ("accumulator length", |op| op.reduced[1].push(0)),
+    ];
+    for (what, edit) in edits {
+        let mut bad = snap.clone();
+        edit(bad.op.as_mut().expect("suspended op is captured"));
+        assert!(
+            matches!(FabricDriver::restore(&bad), Err(FabricError::Config(_))),
+            "{what}: restore must be a config error"
+        );
     }
+    // A live host the fabric has quarantined.
+    let mut down = snap.clone();
+    down.alive[3] = false;
+    down.collective.down[3] = true;
+    assert!(matches!(FabricDriver::restore(&down), Err(FabricError::Config(_))), "down host");
 }

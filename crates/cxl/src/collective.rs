@@ -5,19 +5,23 @@
 //! lands in its pool-resident staging region as part of the training step,
 //! so an all-reduce needs only **one staged write plus direct reads of the
 //! peers' regions** — no per-hop store-and-forward. [`PoolCollective`]
-//! models that datapath:
+//! models that datapath as one fused all-reduce in two phases:
 //!
-//! - `reduce_scatter`: host `h` reads shard `h` of every peer's staged
-//!   gradient ((H−1)·G/H port-bytes) and folds them with the chunked
+//! - reduce-scatter: host `h` reads shard `h` of every peer's staged
+//!   gradient ((H−1)·G/H port-bytes) and folds it with the chunked
 //!   wrapping-add kernel ([`crate::dba::kernels::reduce_sum_run`]);
-//! - `all_gather`: host `h` writes its owned chunk once and reads the
-//!   H−1 others directly;
-//! - `all_reduce`: the fused pipeline — the reduced-shard writeback
-//!   overlaps the read stream on the full-duplex port (chunk-granular,
-//!   so the store of reduced chunk *k* issues while chunk *k+1* of the
-//!   peers is in flight), and the gather reads continue on the same
-//!   read stream. Total port traffic is (2H−1)·G versus the ring's
-//!   4(H−1)·G endpoint-port bytes.
+//! - all-gather: host `h` writes its reduced shard once — overlapped on
+//!   the write direction of the full-duplex port, trailing the read
+//!   stream by one chunk — and the gather reads of the H−1 peer shards
+//!   continue on the same read stream. Total port traffic is (2H−1)·G
+//!   versus the ring's 4(H−1)·G endpoint-port bytes.
+//!
+//! The engine walks that schedule one chunk at a time ([`CollectiveOp`]),
+//! so a host loss can land at any chunk boundary and an op can be
+//! snapshotted mid-flight. The walk counts each host's stream bytes and
+//! prices them with one transfer time per stream, so a fault-free op times
+//! exactly like the fused closed form; fault delays (replay backoff, media
+//! re-reads) add to the affected host's stream.
 //!
 //! The pool media (its DRAM channels) is a shared resource behind the
 //! per-host ports, arbitrated by a [`HostLinkArbiter`] with one account
@@ -222,11 +226,7 @@ pub fn shard_range(total_bytes: usize, hosts: usize, h: usize) -> Range<usize> {
 /// Cumulative operation counters of a [`PoolCollective`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CollectiveStats {
-    /// `reduce_scatter` operations completed.
-    pub reduce_scatters: u64,
-    /// `all_gather` operations completed.
-    pub all_gathers: u64,
-    /// Fused `all_reduce` operations completed.
+    /// All-reduce operations completed.
     pub all_reduces: u64,
     /// Total host↔pool port bytes moved (both directions, all hosts).
     pub port_bytes: u64,
@@ -271,24 +271,53 @@ impl CollectiveOutcome {
     }
 }
 
-/// The pool-staged collective engine: per-host port timelines over a
-/// media budget arbitrated by a [`HostLinkArbiter`] (one account per
-/// host port).
+/// The pool-staged all-reduce engine: per-host port timelines over a
+/// media budget arbitrated by a [`HostLinkArbiter`] (one account per host
+/// port), with the fault posture of [`CollectiveFaultConfig`]:
+/// kill-injectable host loss at every chunk boundary, per-chunk
+/// checksummed retry with seeded backoff on transient port faults,
+/// pool-media RAS over the staging regions (detected faults are re-served
+/// from the source replica — poison never reaches the sum), and the
+/// three-rung degradation ladder: chunk retry → survivor regroup (the
+/// caller quarantines the lost host and begins again over H−1,
+/// bit-identical to a never-failed H−1 run) → ring fallback once RAS
+/// retirement pressure crosses the configured threshold.
 #[derive(Debug, Clone)]
 pub struct PoolCollective {
     cfg: CollectiveConfig,
     media: HostLinkArbiter,
     stats: CollectiveStats,
+    fcfg: CollectiveFaultConfig,
+    port_rng: SimRng,
+    ras: MediaRas,
+    spares_left: u64,
+    down: Vec<bool>,
+    fstats: CollectiveFaultStats,
 }
 
 impl PoolCollective {
-    /// A collective engine over `cfg.hosts` pool ports.
+    /// A fault-free engine over `cfg.hosts` pool ports.
     pub fn new(cfg: CollectiveConfig) -> Result<Self, CollectiveError> {
+        Self::with_faults(cfg, CollectiveFaultConfig::off())
+    }
+
+    /// An engine over `cfg.hosts` pool ports with fault posture `fcfg`.
+    pub fn with_faults(
+        cfg: CollectiveConfig,
+        fcfg: CollectiveFaultConfig,
+    ) -> Result<Self, CollectiveError> {
         cfg.validate()?;
+        fcfg.validate()?;
         Ok(PoolCollective {
             media: HostLinkArbiter::new(cfg.media(), cfg.hosts),
-            cfg,
             stats: CollectiveStats::default(),
+            port_rng: SimRng::seed_from_u64(fcfg.seed).fork("collective.port-faults"),
+            ras: MediaRas::with_label(fcfg.ras, "collective.staging"),
+            spares_left: fcfg.ras.spare_lines,
+            down: vec![false; cfg.hosts],
+            fstats: CollectiveFaultStats::default(),
+            cfg,
+            fcfg,
         })
     }
 
@@ -304,235 +333,576 @@ impl PoolCollective {
     pub fn media(&self) -> &HostLinkArbiter {
         &self.media
     }
+    /// Fault/recovery counters.
+    pub fn fault_stats(&self) -> CollectiveFaultStats {
+        self.fstats
+    }
+    /// Staging-media RAS counters.
+    pub fn ras_stats(&self) -> RasStats {
+        *self.ras.stats()
+    }
+    /// Is this host quarantined?
+    pub fn is_down(&self, host: usize) -> bool {
+        self.down[host]
+    }
 
-    /// Quarantine a lost host's media account: it takes no arbitration
-    /// grants until readmitted.
+    /// Quarantine a lost host: drop it from future ops and park its
+    /// media-arbiter account.
     pub fn quarantine_host(&mut self, host: usize) {
-        self.media.quarantine_device(host);
-    }
-
-    /// Readmit a quarantined host's media account.
-    pub fn readmit_host(&mut self, host: usize) {
-        self.media.readmit_device(host);
-    }
-
-    /// Is this host's media account quarantined?
-    pub fn is_host_quarantined(&self, host: usize) -> bool {
-        self.media.is_quarantined(host)
-    }
-
-    fn check_operands(&self, bufs: &[Vec<u8>], ready: &[SimTime]) -> Result<u64, CollectiveError> {
-        check_shapes(self.cfg.hosts, bufs, ready)
-    }
-
-    /// Reduce-scatter over gradients already staged in the pool: host `h`
-    /// reads shard `h` of every peer's region and folds them locally,
-    /// returning each host's owned reduced shard. One phase: (H−1)·G/H
-    /// port read-bytes per host, no writes (the inputs are the staged
-    /// gradients the training step already flushed).
-    pub fn reduce_scatter(
-        &mut self,
-        shards: &[Vec<u8>],
-        ready: &[SimTime],
-    ) -> Result<(Vec<Vec<u8>>, CollectiveOutcome), CollectiveError> {
-        let g = self.check_operands(shards, ready)?;
-        let h = self.cfg.hosts;
-        self.stats.reduce_scatters += 1;
-        let owned: Vec<Vec<u8>> = (0..h).map(|d| reduce_shard(shards, d)).collect();
-        if h == 1 {
-            return Ok((owned, CollectiveOutcome::noop(1, g, ready[0])));
+        if !self.down[host] {
+            self.down[host] = true;
+            self.media.quarantine_device(host);
+            self.fstats.hosts_lost += 1;
         }
-
-        let start = ready.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        let t0 = start + self.cfg.phase_latency();
-        let port = self.cfg.port();
-        let reads: Vec<u64> = (0..h).map(|d| (h as u64 - 1) * range_len(g, h, d)).collect();
-        let mut media_ends = vec![SimTime::ZERO; h];
-        self.media.arbitrate_round_into(&vec![t0; h], &reads, &mut media_ends);
-        let per_host_done: Vec<SimTime> =
-            (0..h).map(|d| (t0 + port.transfer_time(reads[d])).max(media_ends[d])).collect();
-        let port_bytes: u64 = reads.iter().sum();
-        self.stats.port_bytes += port_bytes;
-        self.stats.media_bytes += port_bytes;
-        let outcome = CollectiveOutcome {
-            hosts: h as u64,
-            bytes_per_host: g,
-            start,
-            completion: per_host_done.iter().copied().fold(SimTime::ZERO, SimTime::max),
-            per_host_done,
-            port_bytes,
-            media_bytes: port_bytes,
-            fanin_saved_bytes: 0,
-        };
-        Ok((owned, outcome))
     }
 
-    /// All-gather: host `h` writes its owned chunk into its staging
-    /// region **once**, then every host reads the H−1 peer chunks
-    /// directly. The media serves each chunk one time and multicasts it
-    /// to all reading ports ([`HostLinkArbiter::charge_fanin`]).
-    pub fn all_gather(
+    /// Readmit a quarantined host into future ops.
+    pub fn readmit_host(&mut self, host: usize) {
+        if self.down[host] {
+            self.down[host] = false;
+            self.media.readmit_device(host);
+            self.fstats.readmissions += 1;
+        }
+    }
+
+    /// The fused all-reduce over the live hosts, run to completion:
+    /// every live host's buffer ends up holding the global sum, reduced
+    /// in place (quarantined hosts' buffers are left alone). Port traffic
+    /// totals (2H−1)·G across hosts; the gather fan-in costs the media
+    /// only G.
+    pub fn all_reduce(
         &mut self,
-        owned: &[Vec<u8>],
+        bufs: &mut [Vec<u8>],
         ready: &[SimTime],
-    ) -> Result<(Vec<Vec<u8>>, CollectiveOutcome), CollectiveError> {
-        let h = self.cfg.hosts;
-        if owned.len() != h {
+    ) -> Result<CollectiveOutcome, CollectiveError> {
+        let mut op = self.begin_all_reduce(bufs, ready)?;
+        let mut walked = Ok(false);
+        while let Ok(false) = walked {
+            walked = self.step_chunk(&mut op, None);
+        }
+        if walked.is_ok() && op.live.len() > 1 {
+            for buf in op.inputs.iter_mut() {
+                for (i, red) in op.reduced.iter().enumerate() {
+                    buf[shard_range(op.g as usize, op.live.len(), i)].copy_from_slice(red);
+                }
+            }
+        }
+        op.release_inputs(bufs);
+        walked?;
+        op.outcome.ok_or_else(|| CollectiveError::Config("collective op is not complete".into()))
+    }
+
+    /// Start a fused all-reduce over the currently live hosts. `staged`
+    /// and `ready` are full-length (one slot per configured host); the op
+    /// takes the live hosts' buffers out of `staged` (hand them back with
+    /// [`CollectiveOp::release_inputs`]) and ignores quarantined hosts'
+    /// entries. Runs RAS maintenance (fault arrival + patrol scrub) over
+    /// the staging regions and decides the ring-fallback rung before any
+    /// chunk moves.
+    pub fn begin_all_reduce(
+        &mut self,
+        staged: &mut [Vec<u8>],
+        ready: &[SimTime],
+    ) -> Result<CollectiveOp, CollectiveError> {
+        let hosts = self.cfg.hosts;
+        if staged.len() != hosts {
             return Err(CollectiveError::Shape {
-                what: "owned chunks",
-                expect: h as u64,
-                got: owned.len() as u64,
+                what: "host buffers",
+                expect: hosts as u64,
+                got: staged.len() as u64,
             });
         }
-        if ready.len() != h {
+        if ready.len() != hosts {
             return Err(CollectiveError::Shape {
                 what: "ready times",
-                expect: h as u64,
+                expect: hosts as u64,
                 got: ready.len() as u64,
             });
         }
-        self.stats.all_gathers += 1;
-        let full: Vec<u8> = owned.iter().flat_map(|c| c.iter().copied()).collect();
-        let g = full.len() as u64;
-        let result: Vec<Vec<u8>> = vec![full; h];
-        if h == 1 {
-            return Ok((result, CollectiveOutcome::noop(1, g, ready[0])));
+        let live: Vec<u64> = (0..hosts as u64).filter(|&h| !self.down[h as usize]).collect();
+        if live.is_empty() {
+            let at = ready.iter().copied().fold(SimTime::ZERO, SimTime::max);
+            return Err(CollectiveError::NoSurvivors { time_ns: at.as_ns() });
         }
-
-        let start = ready.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        let t0 = start + self.cfg.phase_latency();
-        let port = self.cfg.port();
-        let writes: Vec<u64> = owned.iter().map(|c| c.len() as u64).collect();
-        let mut media_w = vec![SimTime::ZERO; h];
-        self.media.arbitrate_round_into(&vec![t0; h], &writes, &mut media_w);
-        // Barrier: every chunk staged and visible before the reads start.
-        let t1 = (0..h)
-            .map(|d| (t0 + port.transfer_time(writes[d])).max(media_w[d]))
-            .fold(SimTime::ZERO, SimTime::max);
-        let mut fanin_saved = 0u64;
-        for (d, &bytes) in writes.iter().enumerate() {
-            if bytes > 0 {
-                let before = self.media.fanin_saved_bytes();
-                self.media.charge_fanin(t1.max(media_w[d]), bytes, h - 1);
-                fanin_saved += self.media.fanin_saved_bytes() - before;
+        let g = live.iter().map(|&h| staged[h as usize].len() as u64).max().unwrap_or(0);
+        for &h in &live {
+            let len = staged[h as usize].len() as u64;
+            if len != g {
+                return Err(CollectiveError::Shape { what: "buffer bytes", expect: g, got: len });
             }
         }
-        let drain = self.media.drained_at();
-        let per_host_done: Vec<SimTime> =
-            (0..h).map(|d| (t1 + port.transfer_time(g - writes[d])).max(drain)).collect();
-        let port_bytes: u64 = writes.iter().map(|&w| w + (g - w)).sum();
-        let media_bytes = 2 * g; // each chunk written once + served once
-        self.stats.port_bytes += port_bytes;
-        self.stats.media_bytes += media_bytes;
-        let outcome = CollectiveOutcome {
-            hosts: h as u64,
-            bytes_per_host: g,
+        if !g.is_multiple_of(4) {
+            return Err(CollectiveError::Shape {
+                what: "whole FP32 words",
+                expect: g / 4 * 4,
+                got: g,
+            });
+        }
+
+        self.ras_maintenance(g);
+        let via_ring = self.fcfg.ring_fallback_retired_lines > 0
+            && self.ras.stats().lines_retired >= self.fcfg.ring_fallback_retired_lines;
+
+        let n = live.len();
+        let inputs: Vec<Vec<u8>> =
+            live.iter().map(|&h| std::mem::take(&mut staged[h as usize])).collect();
+        let start = live.iter().map(|&h| ready[h as usize]).fold(SimTime::ZERO, SimTime::max);
+        let mut op = CollectiveOp {
+            g,
+            reduced: Vec::new(),
+            phase: CollectivePhase::ReduceScatter,
+            flat: 0,
+            cur_shard: 0,
+            cur_chunk: 0,
             start,
-            completion: per_host_done.iter().copied().fold(SimTime::ZERO, SimTime::max),
-            per_host_done,
-            port_bytes,
-            media_bytes,
-            fanin_saved_bytes: fanin_saved,
+            clocks: vec![start + self.cfg.phase_latency(); n],
+            read_bytes: vec![0; n],
+            media_reads: vec![0; n],
+            write_done: SimTime::ZERO,
+            via_ring,
+            outcome: None,
+            live,
+            inputs,
         };
-        Ok((result, outcome))
+        if n == 1 {
+            // A lone survivor already holds the sum: no data moves and
+            // the arbiter is not touched.
+            self.stats.all_reduces += 1;
+            op.outcome = Some(CollectiveOutcome::noop(1, g, start));
+            return Ok(op);
+        }
+        op.reduced = (0..n).map(|i| op.inputs[i][shard_range(g as usize, n, i)].to_vec()).collect();
+        Ok(op)
     }
 
-    /// The fused all-reduce: reduce-scatter and all-gather share one
-    /// continuous per-host read stream (2(H−1)·G/H bytes), with the
-    /// reduced-shard writeback overlapped on the full-duplex port's write
-    /// direction at chunk granularity. Gradients land reduced in place in
-    /// every host's buffer.
-    ///
-    /// Port traffic totals (2H−1)·G across hosts; the gather fan-in costs
-    /// the media only G. Data-wise this is exactly
-    /// `reduce_scatter` + `all_gather` (the tests pin that), but the
-    /// fused timeline is what makes the pool beat the ring at H = 2.
-    pub fn all_reduce(
+    /// Advance the op by one chunk item (or one phase transition).
+    /// Returns `Ok(true)` when the op is complete. A kill injected at
+    /// the current chunk boundary surfaces as
+    /// [`CollectiveError::HostDown`] after the watchdog's modeled wait —
+    /// the caller quarantines the host and begins again over the
+    /// survivors (ladder rung 2).
+    pub fn step_chunk(
         &mut self,
-        shards: &mut [Vec<u8>],
-        ready: &[SimTime],
-    ) -> Result<CollectiveOutcome, CollectiveError> {
-        let g = self.check_operands(shards, ready)?;
-        let h = self.cfg.hosts;
-        self.stats.all_reduces += 1;
-        if h == 1 {
-            return Ok(CollectiveOutcome::noop(1, g, ready[0]));
+        op: &mut CollectiveOp,
+        kill: Option<&HostKill>,
+    ) -> Result<bool, CollectiveError> {
+        if op.outcome.is_some() {
+            return Ok(true);
         }
+        let chunk_bytes = self.cfg.chunk_bytes;
 
-        // Data: fold every peer's shard, then scatter the reduced shards
-        // back into all hosts' buffers.
-        let reduced: Vec<Vec<u8>> = (0..h).map(|d| reduce_shard(shards, d)).collect();
-        for buf in shards.iter_mut() {
-            for (d, red) in reduced.iter().enumerate() {
-                buf[shard_range(g as usize, h, d)].copy_from_slice(red);
+        if let Some(k) = kill {
+            if op.live.contains(&k.host) {
+                let fires = if op.via_ring {
+                    true
+                } else if k.phase == op.phase {
+                    let items = op.items_per_phase(chunk_bytes);
+                    items > 0 && op.flat >= k.chunk.min(items - 1)
+                } else {
+                    false
+                };
+                if fires {
+                    return Err(self.declare_host_down(op, k.host));
+                }
             }
         }
 
-        // Time: per-host port timelines.
-        let start = ready.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        let t0 = start + self.cfg.phase_latency();
-        let port = self.cfg.port();
-        let shard_bytes: Vec<u64> = (0..h).map(|d| range_len(g, h, d)).collect();
-        let r1: Vec<u64> = shard_bytes.iter().map(|&s| (h as u64 - 1) * s).collect();
-        let chunk: Vec<u64> = shard_bytes.iter().map(|&s| s.min(self.cfg.chunk_bytes)).collect();
+        if op.via_ring {
+            return self.run_ring_fallback(op);
+        }
 
-        // Reduced-shard store trails the peer-read stream by one chunk on
-        // the write direction of the full-duplex port.
-        let write_end: Vec<SimTime> =
-            (0..h).map(|d| t0 + port.transfer_time(r1[d]) + port.transfer_time(chunk[d])).collect();
-        let w_last = write_end.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        // The read stream continues straight into the gather reads; the
-        // final chunk of the slowest peer's reduced shard gates the tail.
-        let port_done: Vec<SimTime> = (0..h)
-            .map(|d| {
-                let stream = t0 + port.transfer_time(r1[d] + (g - shard_bytes[d]));
-                stream.max(w_last + port.transfer_time(chunk[d]))
-            })
-            .collect();
-
-        // Media: the reduce reads, the reduced-shard writes, then one
-        // fan-in read per shard serving all H−1 gathering ports.
-        let mut media_r = vec![SimTime::ZERO; h];
-        self.media.arbitrate_round_into(&vec![t0; h], &r1, &mut media_r);
-        let mut media_w = vec![SimTime::ZERO; h];
-        self.media.arbitrate_round_into(&media_r, &shard_bytes, &mut media_w);
-        let mut fanin_saved = 0u64;
-        for (d, &s) in shard_bytes.iter().enumerate() {
-            if s > 0 {
-                let before = self.media.fanin_saved_bytes();
-                self.media.charge_fanin(media_w[d], s, h - 1);
-                fanin_saved += self.media.fanin_saved_bytes() - before;
+        let n = op.live.len();
+        // Skip zero-length shards (more hosts than words).
+        while (op.cur_shard as usize) < n
+            && op.shard_chunks(op.cur_shard as usize, chunk_bytes) == 0
+        {
+            op.cur_shard += 1;
+        }
+        if op.cur_shard as usize == n {
+            match op.phase {
+                CollectivePhase::ReduceScatter => {
+                    self.finish_reduce_phase(op);
+                    return Ok(false);
+                }
+                CollectivePhase::AllGather => {
+                    self.finish_gather_phase(op);
+                    return Ok(true);
+                }
             }
         }
-        let drain = self.media.drained_at();
 
-        let per_host_done: Vec<SimTime> = port_done.iter().map(|&t| t.max(drain)).collect();
-        let port_bytes = (2 * h as u64 - 1) * g;
-        let media_bytes = (h as u64 + 1) * g; // (H−1)·G reads + G writes + G fan-in
-        self.stats.port_bytes += port_bytes;
-        self.stats.media_bytes += media_bytes;
-        Ok(CollectiveOutcome {
-            hosts: h as u64,
-            bytes_per_host: g,
-            start,
-            completion: per_host_done.iter().copied().fold(SimTime::ZERO, SimTime::max),
-            per_host_done,
-            port_bytes,
-            media_bytes,
-            fanin_saved_bytes: fanin_saved,
+        match op.phase {
+            CollectivePhase::ReduceScatter => self.reduce_chunk(op)?,
+            CollectivePhase::AllGather => self.gather_chunk(op)?,
+        }
+
+        op.cur_chunk += 1;
+        if op.cur_chunk >= op.shard_chunks(op.cur_shard as usize, chunk_bytes) {
+            op.cur_shard += 1;
+            op.cur_chunk = 0;
+        }
+        op.flat += 1;
+        Ok(false)
+    }
+
+    /// Reject an op (typically one decoded from a snapshot) whose shape
+    /// does not match this engine, so a restored op can never index out
+    /// of bounds mid-walk.
+    pub fn check_op(&self, op: &CollectiveOp) -> Result<(), CollectiveError> {
+        let bad = |msg: String| Err(CollectiveError::Config(format!("in-flight op: {msg}")));
+        let n = op.live.len();
+        if op.outcome.is_some() || n < 2 {
+            return bad(format!("complete or single-host op ({n} live) cannot be in flight"));
+        }
+        if op.live.windows(2).any(|w| w[0] >= w[1]) {
+            return bad(format!("live hosts {:?} not ascending", op.live));
+        }
+        if let Some(&h) =
+            op.live.iter().find(|&&h| h as usize >= self.cfg.hosts || self.down[h as usize])
+        {
+            return bad(format!("live host {h} is out of range or down"));
+        }
+        for (what, len) in [
+            ("inputs", op.inputs.len()),
+            ("reduced", op.reduced.len()),
+            ("clocks", op.clocks.len()),
+            ("read_bytes", op.read_bytes.len()),
+            ("media_reads", op.media_reads.len()),
+        ] {
+            if len != n {
+                return bad(format!("{what} has {len} entries for {n} live hosts"));
+            }
+        }
+        if !op.g.is_multiple_of(4) {
+            return bad(format!("{} gradient bytes are not whole FP32 words", op.g));
+        }
+        if let Some(b) = op.inputs.iter().find(|b| b.len() as u64 != op.g) {
+            return bad(format!("input buffer of {} bytes, op reduces {}", b.len(), op.g));
+        }
+        for (i, r) in op.reduced.iter().enumerate() {
+            if r.len() as u64 != range_len(op.g, n, i) {
+                return bad(format!("shard {i} accumulator of {} bytes", r.len()));
+            }
+        }
+        let shard = op.cur_shard as usize;
+        if shard > n
+            || (shard < n && op.cur_chunk >= op.shard_chunks(shard, self.cfg.chunk_bytes).max(1))
+        {
+            return bad(format!("cursor at shard {shard} chunk {}", op.cur_chunk));
+        }
+        Ok(())
+    }
+
+    /// Checkpoint image of the engine (not of any in-flight op — the op
+    /// itself is serializable and travels separately).
+    pub fn snapshot(&self) -> PoolCollectiveSnapshot {
+        PoolCollectiveSnapshot {
+            cfg: self.cfg,
+            media: self.media.snapshot(),
+            stats: self.stats,
+            fcfg: self.fcfg,
+            port_rng: self.port_rng.state(),
+            ras: self.ras.snapshot(),
+            spares_left: self.spares_left,
+            down: self.down.clone(),
+            fstats: self.fstats,
+        }
+    }
+
+    /// Rebuild an engine from a snapshot; subsequent chunks fault, time,
+    /// and account identically to the original.
+    pub fn restore(s: &PoolCollectiveSnapshot) -> Result<Self, CollectiveError> {
+        s.cfg.validate()?;
+        s.fcfg.validate()?;
+        if s.down.len() != s.cfg.hosts || s.media.n != s.cfg.hosts as u64 {
+            return Err(CollectiveError::Config(format!(
+                "snapshot has {} quarantine flags and {} media accounts, config has {} hosts",
+                s.down.len(),
+                s.media.n,
+                s.cfg.hosts
+            )));
+        }
+        Ok(PoolCollective {
+            cfg: s.cfg,
+            media: HostLinkArbiter::restore(&s.media),
+            stats: s.stats,
+            fcfg: s.fcfg,
+            port_rng: SimRng::from_state(s.port_rng),
+            ras: MediaRas::from_snapshot(&s.ras),
+            spares_left: s.spares_left,
+            down: s.down.clone(),
+            fstats: s.fstats,
         })
     }
 
-    /// Checkpoint image of the engine.
-    pub fn snapshot(&self) -> PoolCollectiveSnapshot {
-        PoolCollectiveSnapshot { cfg: self.cfg, media: self.media.snapshot(), stats: self.stats }
+    /// Lines one host's staging region occupies.
+    fn lines_per_host(&self, g: u64) -> u64 {
+        g.div_ceil(64)
     }
 
-    /// Rebuild an engine from a snapshot; subsequent operations time and
-    /// account identically to the original.
-    pub fn restore(s: &PoolCollectiveSnapshot) -> Result<Self, CollectiveError> {
-        s.cfg.validate()?;
-        Ok(PoolCollective { cfg: s.cfg, media: HostLinkArbiter::restore(&s.media), stats: s.stats })
+    /// RAS fault arrival + patrol scrub over all staging regions, with
+    /// retirement against the spare-line budget.
+    fn ras_maintenance(&mut self, g: u64) {
+        if self.fcfg.ras.is_off() {
+            return;
+        }
+        let mapped = self.cfg.hosts as u64 * self.lines_per_host(g);
+        if mapped == 0 {
+            return;
+        }
+        self.ras.tick(mapped);
+        let mut found = Vec::new();
+        self.ras.scrub(mapped, &mut found);
+        for _line in found {
+            self.retire_line();
+        }
+    }
+
+    fn retire_line(&mut self) {
+        if self.spares_left > 0 {
+            self.spares_left -= 1;
+            self.ras.note_retired(true);
+        } else {
+            self.ras.note_retired(false);
+        }
+    }
+
+    /// RAS check over the staged lines a chunk read touches. Returns
+    /// true when any line faulted: the chunk is re-served from the
+    /// source replica (the fault never reaches the data path).
+    fn media_check_chunk(&mut self, host: u64, g: u64, range: &Range<usize>) -> bool {
+        if self.fcfg.ras.is_off() || range.is_empty() {
+            return false;
+        }
+        let base = host * self.lines_per_host(g);
+        let first = base + range.start as u64 / 64;
+        let last = base + (range.end as u64 - 1) / 64;
+        let mut faulted = false;
+        for line in first..=last {
+            if self.ras.check_access(line) {
+                self.fstats.media_detections += 1;
+                self.retire_line();
+                faulted = true;
+            }
+        }
+        faulted
+    }
+
+    /// A chunk read over a fault-prone port: Bernoulli corruption per
+    /// delivery, caught by the Fletcher-16 chunk checksum, replayed
+    /// after seeded backoff up to the retry budget. The backoff delays
+    /// the reading host's stream `clock`; `streamed` is the stream's
+    /// byte count so far (for the exhaustion timestamp).
+    fn faulted_read(
+        &mut self,
+        chunk: &[u8],
+        host: u64,
+        flat: u64,
+        clock: &mut SimTime,
+        streamed: u64,
+    ) -> Result<(), CollectiveError> {
+        if self.fcfg.port_fault_rate <= 0.0 || chunk.is_empty() {
+            return Ok(());
+        }
+        let posted = line_checksum(chunk);
+        let mut attempts = 0u32;
+        while self.port_rng.bernoulli(self.fcfg.port_fault_rate) {
+            self.fstats.port_faults += 1;
+            let mut delivered = chunk.to_vec();
+            let idx = self.port_rng.index(delivered.len());
+            delivered[idx] ^= 0x5A;
+            if line_checksum(&delivered) == posted {
+                // Structurally unreachable: Fletcher-16 catches every
+                // single-byte flip. Counted so the zero-poison gate is a
+                // measurement, not an assumption.
+                self.fstats.poisoned_admitted += 1;
+            } else {
+                self.fstats.checksum_detects += 1;
+            }
+            attempts += 1;
+            if attempts > self.fcfg.retry_limit {
+                return Err(CollectiveError::RetryExhausted {
+                    host,
+                    chunk: flat,
+                    attempts,
+                    time_ns: (*clock + self.cfg.port().transfer_time(streamed)).as_ns(),
+                });
+            }
+            let base = self.fcfg.retry_backoff_ns.max(1);
+            let delay = base * attempts as u64 + self.port_rng.next_u64() % base;
+            *clock += SimTime::from_ns(delay);
+            self.fstats.backoff_ns += delay;
+            self.fstats.chunk_retries += 1;
+        }
+        Ok(())
+    }
+
+    /// Watchdog declaration: wait out the deadline (bounded) past the
+    /// furthest host stream and return the typed loss.
+    fn declare_host_down(&mut self, op: &CollectiveOp, host: u64) -> CollectiveError {
+        let port = self.cfg.port();
+        let now = (0..op.live.len())
+            .map(|i| op.clocks[i] + port.transfer_time(op.read_bytes[i]))
+            .fold(SimTime::ZERO, SimTime::max);
+        let deadline = FenceDeadline::from_ns(self.fcfg.deadline_ns);
+        let declared_at = if deadline.expired(now, SimTime::MAX) {
+            self.fstats.watchdog_timeouts += 1;
+            now + deadline.timeout()
+        } else {
+            now
+        };
+        CollectiveError::HostDown {
+            host,
+            phase: op.phase,
+            chunk: op.flat,
+            time_ns: declared_at.as_ns(),
+        }
+    }
+
+    /// One reduce-scatter item: the shard owner reads this chunk from
+    /// every peer's staging region and folds it into its accumulator.
+    fn reduce_chunk(&mut self, op: &mut CollectiveOp) -> Result<(), CollectiveError> {
+        let n = op.live.len();
+        let i = op.cur_shard as usize;
+        let (shard, lo, hi) = op.chunk_range(self.cfg.chunk_bytes);
+        let len = (hi - lo) as u64;
+        let port = self.cfg.port();
+        for j in (0..n).filter(|&j| j != i) {
+            let (owner, streamed) = (op.live[i], op.read_bytes[i]);
+            self.faulted_read(&op.inputs[j][lo..hi], owner, op.flat, &mut op.clocks[i], streamed)?;
+            if self.media_check_chunk(op.live[j], op.g, &(lo..hi)) {
+                // Detected staging-media fault: re-serve the chunk from
+                // the peer's source replica instead of the poisoned line.
+                self.fstats.media_chunk_rereads += 1;
+                op.clocks[i] += port.transfer_time(len);
+                op.media_reads[i] += len;
+            }
+            let local = lo - shard.start..hi - shard.start;
+            kernels::reduce_sum_run(&op.inputs[j][lo..hi], &mut op.reduced[i][local]);
+        }
+        op.read_bytes[i] += (n as u64 - 1) * len;
+        op.media_reads[i] += (n as u64 - 1) * len;
+        Ok(())
+    }
+
+    /// Reduce phase done: the reduced-shard stores trail each owner's
+    /// read stream by one chunk; the slowest store gates the gather tail.
+    fn finish_reduce_phase(&mut self, op: &mut CollectiveOp) {
+        let n = op.live.len();
+        let port = self.cfg.port();
+        op.write_done = (0..n)
+            .map(|i| {
+                let chunk = range_len(op.g, n, i).min(self.cfg.chunk_bytes);
+                op.clocks[i] + port.transfer_time(op.read_bytes[i]) + port.transfer_time(chunk)
+            })
+            .fold(SimTime::ZERO, SimTime::max);
+        op.phase = CollectivePhase::AllGather;
+        op.cur_shard = 0;
+        op.cur_chunk = 0;
+        op.flat = 0;
+    }
+
+    /// One all-gather item: every peer reads the owner's reduced chunk
+    /// directly, continuing its read stream.
+    fn gather_chunk(&mut self, op: &mut CollectiveOp) -> Result<(), CollectiveError> {
+        let n = op.live.len();
+        let i = op.cur_shard as usize;
+        let (shard, lo, hi) = op.chunk_range(self.cfg.chunk_bytes);
+        let len = (hi - lo) as u64;
+        let owner = op.live[i];
+        let port = self.cfg.port();
+        let local = lo - shard.start..hi - shard.start;
+        for j in (0..n).filter(|&j| j != i) {
+            let (reader, streamed) = (op.live[j], op.read_bytes[j]);
+            let chunk = &op.reduced[i][local.clone()];
+            self.faulted_read(chunk, reader, op.flat, &mut op.clocks[j], streamed)?;
+            if self.media_check_chunk(owner, op.g, &(lo..hi)) {
+                self.fstats.media_chunk_rereads += 1;
+                op.clocks[j] += port.transfer_time(len);
+                op.media_reads[j] += len;
+            }
+            op.read_bytes[j] += len;
+        }
+        Ok(())
+    }
+
+    /// Gather phase done: price every host's port streams, charge the
+    /// media — the reduce reads at the entry barrier, the reduced-shard
+    /// writes at the end of that round, one fan-in read per shard — and
+    /// close the outcome.
+    fn finish_gather_phase(&mut self, op: &mut CollectiveOp) {
+        let n = op.live.len();
+        let hosts = self.cfg.hosts;
+        let port = self.cfg.port();
+        let t0 = op.start + self.cfg.phase_latency();
+        let mut reads = vec![0u64; hosts];
+        let mut writes = vec![0u64; hosts];
+        for (i, &h) in op.live.iter().enumerate() {
+            reads[h as usize] = op.media_reads[i];
+            writes[h as usize] = range_len(op.g, n, i);
+        }
+        let mut media_r = vec![SimTime::ZERO; hosts];
+        self.media.arbitrate_round_into(&vec![t0; hosts], &reads, &mut media_r);
+        let mut media_w = vec![SimTime::ZERO; hosts];
+        self.media.arbitrate_round_into(&media_r, &writes, &mut media_w);
+        let mut fanin_saved = 0u64;
+        for &h in &op.live {
+            let s = writes[h as usize];
+            if s > 0 {
+                let before = self.media.fanin_saved_bytes();
+                self.media.charge_fanin(media_w[h as usize], s, n - 1);
+                fanin_saved += self.media.fanin_saved_bytes() - before;
+            }
+        }
+        let drain = self.media.drained_at();
+
+        let per_host_done: Vec<SimTime> = (0..n)
+            .map(|i| {
+                let chunk = range_len(op.g, n, i).min(self.cfg.chunk_bytes);
+                let stream = op.clocks[i] + port.transfer_time(op.read_bytes[i]);
+                stream.max(op.write_done + port.transfer_time(chunk)).max(drain)
+            })
+            .collect();
+        let port_bytes = (2 * n as u64 - 1) * op.g;
+        // Reduce reads and re-reads, G of writes, G of fan-in.
+        let media_bytes = op.media_reads.iter().sum::<u64>() + 2 * op.g;
+        self.stats.all_reduces += 1;
+        self.stats.port_bytes += port_bytes;
+        self.stats.media_bytes += media_bytes;
+        op.outcome = Some(CollectiveOutcome {
+            hosts: n as u64,
+            bytes_per_host: op.g,
+            start: op.start,
+            completion: per_host_done.iter().copied().fold(SimTime::ZERO, SimTime::max),
+            per_host_done,
+            port_bytes,
+            media_bytes,
+            fanin_saved_bytes: fanin_saved,
+        });
+    }
+
+    /// Ladder rung 3: retirement pressure tripped the threshold — run
+    /// the whole op over the point-to-point ring, off the pool media.
+    fn run_ring_fallback(&mut self, op: &mut CollectiveOp) -> Result<bool, CollectiveError> {
+        let n = op.live.len();
+        let ring_cfg = CollectiveConfig { hosts: n, ..self.cfg };
+        let out = ring_all_reduce(&ring_cfg, &mut op.inputs, &op.clocks)?;
+        for (i, red) in op.reduced.iter_mut().enumerate() {
+            red.copy_from_slice(&op.inputs[0][shard_range(op.g as usize, n, i)]);
+        }
+        self.fstats.ring_fallbacks += 1;
+        self.stats.all_reduces += 1;
+        op.outcome = Some(CollectiveOutcome {
+            hosts: n as u64,
+            bytes_per_host: op.g,
+            start: out.start,
+            completion: out.completion,
+            per_host_done: vec![out.completion; n],
+            port_bytes: out.link_bytes,
+            media_bytes: 0,
+            fanin_saved_bytes: 0,
+        });
+        Ok(true)
     }
 }
 
@@ -545,6 +915,18 @@ pub struct PoolCollectiveSnapshot {
     pub media: HostLinkArbiterSnapshot,
     /// Operation counters.
     pub stats: CollectiveStats,
+    /// Fault posture.
+    pub fcfg: CollectiveFaultConfig,
+    /// Port-fault injection stream state.
+    pub port_rng: [u64; 4],
+    /// Staging-media RAS state.
+    pub ras: MediaRasSnapshot,
+    /// Spare lines left for retirement remaps.
+    pub spares_left: u64,
+    /// Per-host quarantine flags.
+    pub down: Vec<bool>,
+    /// Fault/recovery counters.
+    pub fstats: CollectiveFaultStats,
 }
 
 fn range_len(total: u64, hosts: usize, h: usize) -> u64 {
@@ -583,20 +965,6 @@ fn check_shapes(hosts: usize, bufs: &[Vec<u8>], ready: &[SimTime]) -> Result<u64
         return Err(CollectiveError::Shape { what: "whole FP32 words", expect: g / 4 * 4, got: g });
     }
     Ok(g)
-}
-
-/// Fold shard `d` of every host's buffer with the chunked wrapping-add
-/// kernel, starting from host `d`'s own contribution.
-fn reduce_shard(shards: &[Vec<u8>], d: usize) -> Vec<u8> {
-    let g = shards[0].len();
-    let range = shard_range(g, shards.len(), d);
-    let mut acc = shards[d][range.clone()].to_vec();
-    for (p, buf) in shards.iter().enumerate() {
-        if p != d {
-            kernels::reduce_sum_run(&buf[range.clone()], &mut acc);
-        }
-    }
-    acc
 }
 
 /// Modeled result of one ring all-reduce.
@@ -714,7 +1082,7 @@ pub enum CollectivePhase {
     AllGather,
 }
 
-/// Kill injection point for a chunked collective: host `host` stops
+/// Kill injection point for an all-reduce: host `host` stops
 /// responding at flat chunk index `chunk` of `phase`. Indices past the
 /// end of the phase clamp to its last chunk boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -727,7 +1095,7 @@ pub struct HostKill {
     pub chunk: u64,
 }
 
-/// Fault posture of a [`ChunkedCollective`]: transient pool-port faults
+/// Fault posture of a [`PoolCollective`]: transient pool-port faults
 /// (per-chunk Bernoulli, checksummed retry with seeded backoff), a
 /// deadline watchdog for host loss, pool-media RAS over the staging
 /// regions, and the retirement-pressure threshold that trips the
@@ -770,12 +1138,6 @@ impl CollectiveFaultConfig {
         }
     }
 
-    /// Does any fault mechanism actually fire? (Zero-fault configs route
-    /// the fabric through the fast closed-form path.)
-    pub fn engaged(&self) -> bool {
-        self.port_fault_rate > 0.0 || !self.ras.is_off() || self.ring_fallback_retired_lines > 0
-    }
-
     /// Reject unusable fault postures.
     pub fn validate(&self) -> Result<(), CollectiveError> {
         if !self.port_fault_rate.is_finite() || !(0.0..=1.0).contains(&self.port_fault_rate) {
@@ -788,7 +1150,7 @@ impl CollectiveFaultConfig {
     }
 }
 
-/// Fault/recovery counters of a [`ChunkedCollective`].
+/// Fault/recovery counters of a [`PoolCollective`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CollectiveFaultStats {
     /// Chunk deliveries that arrived corrupted.
@@ -817,21 +1179,21 @@ pub struct CollectiveFaultStats {
     pub poisoned_admitted: u64,
 }
 
-/// In-flight state of one chunk-granular fused all-reduce. The op is a
-/// plain serializable value: the fabric can snapshot it at any chunk
-/// boundary and a restored engine finishes it bit-identically.
+/// In-flight state of one fused all-reduce. The op is a plain
+/// serializable value: a fabric can snapshot it at any chunk boundary and
+/// a restored engine finishes it bit-identically
+/// ([`PoolCollective::check_op`] vets a decoded one).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChunkedOp {
+pub struct CollectiveOp {
     /// Gradient bytes per host.
     pub g: u64,
     /// Live host ids (ascending) this op reduces across.
     pub live: Vec<u64>,
-    /// Source replicas: each live host's staged gradient, pristine.
+    /// Source replicas: each live host's staged gradient, pristine (the
+    /// caller's buffers, owned by the op until released).
     pub inputs: Vec<Vec<u8>>,
-    /// Per-live-shard reduction accumulators.
+    /// Per-live-shard reduction accumulators (empty for a lone host).
     pub reduced: Vec<Vec<u8>>,
-    /// The assembled global sum (filled during the gather phase).
-    pub result: Vec<u8>,
     /// Current phase.
     pub phase: CollectivePhase,
     /// Flat chunk index within the current phase.
@@ -840,33 +1202,31 @@ pub struct ChunkedOp {
     pub cur_shard: u64,
     /// Current chunk within the shard.
     pub cur_chunk: u64,
-    /// Per-live-host port timelines.
-    pub clocks: Vec<SimTime>,
     /// Entry-barrier time.
     pub start: SimTime,
-    /// Port bytes moved so far.
-    pub port_bytes: u64,
-    /// Media bytes accounted so far.
-    pub media_bytes: u64,
-    /// Media read-bytes per live host, charged in bulk at phase end.
-    pub pending_reads: Vec<u64>,
-    /// Media write-bytes per live host, charged in bulk at gather end.
-    pub pending_writes: Vec<u64>,
-    /// Media bytes the gather fan-in deduplicated.
-    pub fanin_saved: u64,
+    /// Per-live-host stream clocks: the first chunk's issue time plus
+    /// every fault delay the host's stream has absorbed. Host `i`'s read
+    /// stream ends at `clocks[i]` plus the transfer time of
+    /// `read_bytes[i]`.
+    pub clocks: Vec<SimTime>,
+    /// Per-live-host read-stream bytes so far.
+    pub read_bytes: Vec<u64>,
+    /// Per-live-host media read bytes (peer reads and re-reads), charged
+    /// when the op completes.
+    pub media_reads: Vec<u64>,
+    /// When the slowest reduced-shard store completes (set when the
+    /// reduce-scatter phase ends).
+    pub write_done: SimTime,
     /// Routed over the ring fallback instead of the pool.
     pub via_ring: bool,
-    /// Completed.
-    pub done: bool,
-    /// Final accounting (set once `done`).
+    /// Final accounting, set once the op completes.
     pub outcome: Option<CollectiveOutcome>,
 }
 
-impl ChunkedOp {
+impl CollectiveOp {
     /// Chunks in live shard `i`.
     fn shard_chunks(&self, i: usize, chunk_bytes: u64) -> u64 {
-        let len = range_len(self.g, self.live.len(), i);
-        len.div_ceil(chunk_bytes)
+        range_len(self.g, self.live.len(), i).div_ceil(chunk_bytes)
     }
 
     /// Total chunk items in one phase.
@@ -874,652 +1234,40 @@ impl ChunkedOp {
         (0..self.live.len()).map(|i| self.shard_chunks(i, chunk_bytes)).sum()
     }
 
-    /// Consume a completed op, yielding the reduced bytes (identical on
-    /// every live host) and the accounting.
-    pub fn into_result(self) -> Result<(Vec<u8>, CollectiveOutcome), CollectiveError> {
-        match (self.done, self.outcome) {
-            (true, Some(outcome)) => Ok((self.result, outcome)),
-            _ => Err(CollectiveError::Config("collective op is not complete".into())),
-        }
-    }
-}
-
-/// Serializable image of a [`ChunkedCollective`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChunkedCollectiveSnapshot {
-    /// Pool engine state (config, media arbiter, op counters).
-    pub pool: PoolCollectiveSnapshot,
-    /// Fault posture.
-    pub fcfg: CollectiveFaultConfig,
-    /// Port-fault injection stream state.
-    pub port_rng: [u64; 4],
-    /// Staging-media RAS state.
-    pub ras: MediaRasSnapshot,
-    /// Spare lines left for retirement remaps.
-    pub spares_left: u64,
-    /// Per-host quarantine flags.
-    pub down: Vec<bool>,
-    /// Fault/recovery counters.
-    pub fstats: CollectiveFaultStats,
-}
-
-/// The fault-tolerant chunk-granular collective engine: a
-/// [`PoolCollective`] datapath driven one chunk at a time, with
-/// kill-injectable host loss at every chunk boundary, per-chunk
-/// checksummed retry with seeded backoff on transient port faults,
-/// pool-media RAS over the staging regions (detected faults are
-/// re-served from the source replica — poison never reaches the sum),
-/// and the three-rung degradation ladder: chunk retry → survivor
-/// regroup (the caller quarantines the lost host and re-begins over
-/// H−1, bit-identical to a never-failed H−1 run) → ring fallback once
-/// RAS retirement pressure crosses the configured threshold.
-#[derive(Debug, Clone)]
-pub struct ChunkedCollective {
-    pool: PoolCollective,
-    fcfg: CollectiveFaultConfig,
-    port_rng: SimRng,
-    ras: MediaRas,
-    spares_left: u64,
-    down: Vec<bool>,
-    fstats: CollectiveFaultStats,
-}
-
-impl ChunkedCollective {
-    /// An engine over `cfg.hosts` ports with fault posture `fcfg`.
-    pub fn new(
-        cfg: CollectiveConfig,
-        fcfg: CollectiveFaultConfig,
-    ) -> Result<Self, CollectiveError> {
-        fcfg.validate()?;
-        let pool = PoolCollective::new(cfg)?;
-        Ok(ChunkedCollective {
-            down: vec![false; cfg.hosts],
-            port_rng: SimRng::seed_from_u64(fcfg.seed).fork("collective.port-faults"),
-            ras: MediaRas::with_label(fcfg.ras, "collective.staging"),
-            spares_left: fcfg.ras.spare_lines,
-            pool,
-            fcfg,
-            fstats: CollectiveFaultStats::default(),
-        })
+    /// The current shard's byte range and the current chunk's bounds.
+    fn chunk_range(&self, chunk_bytes: u64) -> (Range<usize>, usize, usize) {
+        let shard = shard_range(self.g as usize, self.live.len(), self.cur_shard as usize);
+        let lo = shard.start + (self.cur_chunk * chunk_bytes) as usize;
+        let hi = (lo + chunk_bytes as usize).min(shard.end);
+        (shard, lo, hi)
     }
 
-    /// The underlying pool engine (config, stats, media arbiter).
-    pub fn pool(&self) -> &PoolCollective {
-        &self.pool
-    }
-    /// Fault posture.
-    pub fn fault_config(&self) -> &CollectiveFaultConfig {
-        &self.fcfg
-    }
-    /// Fault/recovery counters.
-    pub fn fault_stats(&self) -> CollectiveFaultStats {
-        self.fstats
-    }
-    /// Staging-media RAS counters.
-    pub fn ras_stats(&self) -> RasStats {
-        *self.ras.stats()
-    }
-    /// Hosts not currently quarantined.
-    pub fn live_hosts(&self) -> usize {
-        self.down.iter().filter(|&&d| !d).count()
-    }
-    /// Is this host quarantined?
-    pub fn is_down(&self, host: usize) -> bool {
-        self.down[host]
+    /// The final accounting, once the op is complete.
+    pub fn outcome(&self) -> Option<&CollectiveOutcome> {
+        self.outcome.as_ref()
     }
 
-    /// Quarantine a lost host: drop it from future ops and park its
-    /// media-arbiter account.
-    pub fn quarantine_host(&mut self, host: usize) {
-        if !self.down[host] {
-            self.down[host] = true;
-            self.pool.quarantine_host(host);
-            self.fstats.hosts_lost += 1;
-        }
-    }
-
-    /// Readmit a quarantined host into future ops.
-    pub fn readmit_host(&mut self, host: usize) {
-        if self.down[host] {
-            self.down[host] = false;
-            self.pool.readmit_host(host);
-            self.fstats.readmissions += 1;
-        }
-    }
-
-    /// Start a fused all-reduce over the currently-live hosts. `staged`
-    /// and `ready` are full-length (one slot per configured host);
-    /// quarantined hosts' entries are ignored. Runs RAS maintenance
-    /// (fault arrival + patrol scrub) over the staging regions and
-    /// decides the ring-fallback rung before any chunk moves.
-    pub fn begin_all_reduce(
-        &mut self,
-        staged: &[Vec<u8>],
-        ready: &[SimTime],
-    ) -> Result<ChunkedOp, CollectiveError> {
-        let hosts = self.pool.cfg.hosts;
-        if staged.len() != hosts {
-            return Err(CollectiveError::Shape {
-                what: "host buffers",
-                expect: hosts as u64,
-                got: staged.len() as u64,
-            });
-        }
-        if ready.len() != hosts {
-            return Err(CollectiveError::Shape {
-                what: "ready times",
-                expect: hosts as u64,
-                got: ready.len() as u64,
-            });
-        }
-        let live: Vec<u64> =
-            (0..hosts).filter(|&hst| !self.down[hst]).map(|hst| hst as u64).collect();
-        if live.is_empty() {
-            let at = ready.iter().copied().fold(SimTime::ZERO, SimTime::max);
-            return Err(CollectiveError::NoSurvivors { time_ns: at.as_ns() });
-        }
-        let g = live.iter().map(|&hst| staged[hst as usize].len() as u64).max().unwrap_or(0);
-        for &hst in &live {
-            let len = staged[hst as usize].len() as u64;
-            if len != g {
-                return Err(CollectiveError::Shape { what: "buffer bytes", expect: g, got: len });
-            }
-        }
-        if !g.is_multiple_of(4) {
-            return Err(CollectiveError::Shape {
-                what: "whole FP32 words",
-                expect: g / 4 * 4,
-                got: g,
-            });
-        }
-
-        self.ras_maintenance(g);
-        let via_ring = self.fcfg.ring_fallback_retired_lines > 0
-            && self.ras.stats().lines_retired >= self.fcfg.ring_fallback_retired_lines;
-
-        let n = live.len();
-        let inputs: Vec<Vec<u8>> = live.iter().map(|&hst| staged[hst as usize].clone()).collect();
-        let start = live.iter().map(|&hst| ready[hst as usize]).fold(SimTime::ZERO, SimTime::max);
-
-        if n == 1 {
-            self.pool.stats.all_reduces += 1;
-            let at = ready[live[0] as usize];
-            let result = inputs[0].clone();
-            return Ok(ChunkedOp {
-                g,
-                live,
-                inputs: Vec::new(),
-                reduced: Vec::new(),
-                result,
-                phase: CollectivePhase::ReduceScatter,
-                flat: 0,
-                cur_shard: 0,
-                cur_chunk: 0,
-                clocks: vec![at],
-                start: at,
-                port_bytes: 0,
-                media_bytes: 0,
-                pending_reads: Vec::new(),
-                pending_writes: Vec::new(),
-                fanin_saved: 0,
-                via_ring: false,
-                done: true,
-                outcome: Some(CollectiveOutcome::noop(1, g, at)),
-            });
-        }
-
-        let t0 = start + self.pool.cfg.phase_latency();
-        let reduced: Vec<Vec<u8>> =
-            (0..n).map(|i| reduce_init(&inputs, g as usize, n, i)).collect();
-        Ok(ChunkedOp {
-            g,
-            live,
-            inputs,
-            reduced,
-            result: vec![0u8; g as usize],
-            phase: CollectivePhase::ReduceScatter,
-            flat: 0,
-            cur_shard: 0,
-            cur_chunk: 0,
-            clocks: vec![t0; n],
-            start,
-            port_bytes: 0,
-            media_bytes: 0,
-            pending_reads: vec![0; n],
-            pending_writes: vec![0; n],
-            fanin_saved: 0,
-            via_ring,
-            done: false,
-            outcome: None,
-        })
-    }
-
-    /// Advance the op by one chunk item (or one phase transition).
-    /// Returns `Ok(true)` when the op is complete. A kill injected at
-    /// the current chunk boundary surfaces as
-    /// [`CollectiveError::HostDown`] after the watchdog's modeled wait —
-    /// the caller quarantines the host and re-begins over the survivors
-    /// (ladder rung 2).
-    pub fn step_chunk(
-        &mut self,
-        op: &mut ChunkedOp,
-        kill: Option<&HostKill>,
-    ) -> Result<bool, CollectiveError> {
-        if op.done {
-            return Ok(true);
-        }
-        let chunk_bytes = self.pool.cfg.chunk_bytes;
-
-        if let Some(k) = kill {
-            if op.live.contains(&k.host) {
-                let fires = if op.via_ring {
-                    true
-                } else if k.phase == op.phase {
-                    let items = op.items_per_phase(chunk_bytes);
-                    items > 0 && op.flat >= k.chunk.min(items - 1)
-                } else {
-                    false
-                };
-                if fires {
-                    return Err(self.declare_host_down(op, k.host));
-                }
-            }
-        }
-
-        if op.via_ring {
-            return self.run_ring_fallback(op);
-        }
-
-        let n = op.live.len();
-        // Skip zero-length shards (more hosts than words).
-        while (op.cur_shard as usize) < n
-            && op.shard_chunks(op.cur_shard as usize, chunk_bytes) == 0
-        {
-            op.cur_shard += 1;
-        }
-        if op.cur_shard as usize == n {
-            match op.phase {
-                CollectivePhase::ReduceScatter => {
-                    self.finish_reduce_phase(op);
-                    return Ok(false);
-                }
-                CollectivePhase::AllGather => {
-                    self.finish_gather_phase(op);
-                    return Ok(true);
-                }
-            }
-        }
-
-        match op.phase {
-            CollectivePhase::ReduceScatter => self.reduce_chunk(op)?,
-            CollectivePhase::AllGather => self.gather_chunk(op)?,
-        }
-
-        op.cur_chunk += 1;
-        if op.cur_chunk >= op.shard_chunks(op.cur_shard as usize, chunk_bytes) {
-            op.cur_shard += 1;
-            op.cur_chunk = 0;
-        }
-        op.flat += 1;
-        Ok(false)
-    }
-
-    /// Run one fused all-reduce to completion (no kill injection): the
-    /// chunk loop as a convenience, returning the reduced bytes and the
-    /// accounting.
-    pub fn all_reduce(
-        &mut self,
-        staged: &[Vec<u8>],
-        ready: &[SimTime],
-    ) -> Result<(Vec<u8>, CollectiveOutcome), CollectiveError> {
-        let mut op = self.begin_all_reduce(staged, ready)?;
-        while !self.step_chunk(&mut op, None)? {}
-        op.into_result()
-    }
-
-    /// Checkpoint image of the engine (not of any in-flight op — the op
-    /// itself is serializable and travels separately).
-    pub fn snapshot(&self) -> ChunkedCollectiveSnapshot {
-        ChunkedCollectiveSnapshot {
-            pool: self.pool.snapshot(),
-            fcfg: self.fcfg,
-            port_rng: self.port_rng.state(),
-            ras: self.ras.snapshot(),
-            spares_left: self.spares_left,
-            down: self.down.clone(),
-            fstats: self.fstats,
-        }
-    }
-
-    /// Rebuild from a snapshot; subsequent chunks fault, time, and
-    /// account identically to the original.
-    pub fn restore(s: &ChunkedCollectiveSnapshot) -> Result<Self, CollectiveError> {
-        s.fcfg.validate()?;
-        let pool = PoolCollective::restore(&s.pool)?;
-        if s.down.len() != pool.cfg.hosts {
-            return Err(CollectiveError::Config(format!(
-                "quarantine flags for {} hosts, config has {}",
-                s.down.len(),
-                pool.cfg.hosts
-            )));
-        }
-        Ok(ChunkedCollective {
-            pool,
-            fcfg: s.fcfg,
-            port_rng: SimRng::from_state(s.port_rng),
-            ras: MediaRas::from_snapshot(&s.ras),
-            spares_left: s.spares_left,
-            down: s.down.clone(),
-            fstats: s.fstats,
-        })
-    }
-
-    /// Lines one host's staging region occupies.
-    fn lines_per_host(&self, g: u64) -> u64 {
-        g.div_ceil(64)
-    }
-
-    /// RAS fault arrival + patrol scrub over all staging regions, with
-    /// retirement against the spare-line budget.
-    fn ras_maintenance(&mut self, g: u64) {
-        if self.fcfg.ras.is_off() {
-            return;
-        }
-        let mapped = self.pool.cfg.hosts as u64 * self.lines_per_host(g);
-        if mapped == 0 {
-            return;
-        }
-        self.ras.tick(mapped);
-        let mut found = Vec::new();
-        self.ras.scrub(mapped, &mut found);
-        for _line in found {
-            self.retire_line();
-        }
-    }
-
-    fn retire_line(&mut self) {
-        if self.spares_left > 0 {
-            self.spares_left -= 1;
-            self.ras.note_retired(true);
+    /// Copy the reduced gradient (identical on every live host) into
+    /// `out`, replacing its contents. Meaningful once the op is complete.
+    pub fn copy_result_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        if self.live.len() == 1 {
+            out.extend_from_slice(&self.inputs[0]);
         } else {
-            self.ras.note_retired(false);
-        }
-    }
-
-    /// RAS check over the staged lines a chunk read touches. Returns
-    /// true when any line faulted: the chunk is re-served from the
-    /// source replica (the fault never reaches the data path).
-    fn media_check_chunk(&mut self, host: u64, g: u64, range: &Range<usize>) -> bool {
-        if self.fcfg.ras.is_off() || range.is_empty() {
-            return false;
-        }
-        let base = host * self.lines_per_host(g);
-        let first = base + range.start as u64 / 64;
-        let last = base + (range.end as u64 - 1) / 64;
-        let mut faulted = false;
-        for line in first..=last {
-            if self.ras.check_access(line) {
-                self.fstats.media_detections += 1;
-                self.retire_line();
-                faulted = true;
+            for red in &self.reduced {
+                out.extend_from_slice(red);
             }
         }
-        faulted
     }
 
-    /// A chunk read over a fault-prone port: Bernoulli corruption per
-    /// delivery, caught by the Fletcher-16 chunk checksum, replayed
-    /// after seeded backoff up to the retry budget.
-    fn faulted_read(
-        &mut self,
-        chunk: &[u8],
-        host: u64,
-        flat: u64,
-        clock: &mut SimTime,
-    ) -> Result<(), CollectiveError> {
-        if self.fcfg.port_fault_rate <= 0.0 || chunk.is_empty() {
-            return Ok(());
-        }
-        let posted = line_checksum(chunk);
-        let mut attempts = 0u32;
-        while self.port_rng.bernoulli(self.fcfg.port_fault_rate) {
-            self.fstats.port_faults += 1;
-            let mut delivered = chunk.to_vec();
-            let idx = self.port_rng.index(delivered.len());
-            delivered[idx] ^= 0x5A;
-            if line_checksum(&delivered) == posted {
-                // Structurally unreachable: Fletcher-16 catches every
-                // single-byte flip. Counted so the zero-poison gate is a
-                // measurement, not an assumption.
-                self.fstats.poisoned_admitted += 1;
-            } else {
-                self.fstats.checksum_detects += 1;
-            }
-            attempts += 1;
-            if attempts > self.fcfg.retry_limit {
-                return Err(CollectiveError::RetryExhausted {
-                    host,
-                    chunk: flat,
-                    attempts,
-                    time_ns: clock.as_ns(),
-                });
-            }
-            let base = self.fcfg.retry_backoff_ns.max(1);
-            let delay = base * attempts as u64 + self.port_rng.next_u64() % base;
-            *clock += SimTime::from_ns(delay);
-            self.fstats.backoff_ns += delay;
-            self.fstats.chunk_retries += 1;
-        }
-        Ok(())
-    }
-
-    /// Watchdog declaration: wait out the deadline (bounded) and return
-    /// the typed loss.
-    fn declare_host_down(&mut self, op: &ChunkedOp, host: u64) -> CollectiveError {
-        let now = op.clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        let deadline = FenceDeadline::from_ns(self.fcfg.deadline_ns);
-        let declared_at = if deadline.expired(now, SimTime::MAX) {
-            self.fstats.watchdog_timeouts += 1;
-            now + deadline.timeout()
-        } else {
-            now
-        };
-        CollectiveError::HostDown {
-            host,
-            phase: op.phase,
-            chunk: op.flat,
-            time_ns: declared_at.as_ns(),
+    /// Hand the staged buffers back to their host slots in `staged` (the
+    /// full-length vector [`PoolCollective::begin_all_reduce`] took them
+    /// from), so the caller keeps their capacity.
+    pub fn release_inputs(&mut self, staged: &mut [Vec<u8>]) {
+        for (&h, buf) in self.live.iter().zip(self.inputs.iter_mut()) {
+            staged[h as usize] = std::mem::take(buf);
         }
     }
-
-    /// One reduce-scatter item: the shard owner reads this chunk from
-    /// every peer's staging region and folds it into its accumulator.
-    fn reduce_chunk(&mut self, op: &mut ChunkedOp) -> Result<(), CollectiveError> {
-        let n = op.live.len();
-        let g = op.g as usize;
-        let i = op.cur_shard as usize;
-        let shard = shard_range(g, n, i);
-        let chunk_bytes = self.pool.cfg.chunk_bytes as usize;
-        let lo = shard.start + op.cur_chunk as usize * chunk_bytes;
-        let hi = (lo + chunk_bytes).min(shard.end);
-        let len = (hi - lo) as u64;
-        let owner = op.live[i];
-        let port = self.pool.cfg.port();
-
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let mut clock = op.clocks[i];
-            self.faulted_read(&op.inputs[j][lo..hi], owner, op.flat, &mut clock)?;
-            if self.media_check_chunk(op.live[j], op.g, &(lo..hi)) {
-                // Detected staging-media fault: re-serve the chunk from
-                // the peer's source replica instead of the poisoned line.
-                self.fstats.media_chunk_rereads += 1;
-                clock += port.transfer_time(len);
-                op.pending_reads[i] += len;
-            }
-            op.clocks[i] = clock;
-            let local = lo - shard.start..hi - shard.start;
-            kernels::reduce_sum_run(&op.inputs[j][lo..hi], &mut op.reduced[i][local]);
-        }
-        op.clocks[i] += port.transfer_time((n as u64 - 1) * len);
-        op.port_bytes += (n as u64 - 1) * len;
-        op.pending_reads[i] += (n as u64 - 1) * len;
-        Ok(())
-    }
-
-    /// Reduce phase done: charge the media reads, barrier, enter gather.
-    fn finish_reduce_phase(&mut self, op: &mut ChunkedOp) {
-        let ends = self.media_round(op, false);
-        let t1 = op
-            .live
-            .iter()
-            .enumerate()
-            .map(|(i, &hst)| op.clocks[i].max(ends[hst as usize]))
-            .fold(SimTime::ZERO, SimTime::max)
-            + self.pool.cfg.phase_latency();
-        for c in op.clocks.iter_mut() {
-            *c = t1;
-        }
-        op.media_bytes += op.pending_reads.iter().sum::<u64>();
-        for p in op.pending_reads.iter_mut() {
-            *p = 0;
-        }
-        op.phase = CollectivePhase::AllGather;
-        op.cur_shard = 0;
-        op.cur_chunk = 0;
-        op.flat = 0;
-    }
-
-    /// One all-gather item: the owner writes its reduced chunk once,
-    /// every peer reads it directly.
-    fn gather_chunk(&mut self, op: &mut ChunkedOp) -> Result<(), CollectiveError> {
-        let n = op.live.len();
-        let g = op.g as usize;
-        let i = op.cur_shard as usize;
-        let shard = shard_range(g, n, i);
-        let chunk_bytes = self.pool.cfg.chunk_bytes as usize;
-        let lo = shard.start + op.cur_chunk as usize * chunk_bytes;
-        let hi = (lo + chunk_bytes).min(shard.end);
-        let len = (hi - lo) as u64;
-        let owner = op.live[i];
-        let port = self.pool.cfg.port();
-
-        // Owner stages the reduced chunk.
-        op.clocks[i] += port.transfer_time(len);
-        op.pending_writes[i] += len;
-        op.port_bytes += len;
-        let staged_at = op.clocks[i];
-
-        let local = lo - shard.start..hi - shard.start;
-        op.result[lo..hi].copy_from_slice(&op.reduced[i][local.clone()]);
-
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let mut clock = op.clocks[j].max(staged_at);
-            self.faulted_read(&op.reduced[i][local.clone()], op.live[j], op.flat, &mut clock)?;
-            if self.media_check_chunk(owner, op.g, &(lo..hi)) {
-                self.fstats.media_chunk_rereads += 1;
-                clock += port.transfer_time(len);
-                op.pending_reads[j] += len;
-            }
-            clock += port.transfer_time(len);
-            op.clocks[j] = clock;
-            op.port_bytes += len;
-        }
-        Ok(())
-    }
-
-    /// Gather phase done: charge the staged writes, the deduplicated
-    /// fan-in reads, and close the outcome.
-    fn finish_gather_phase(&mut self, op: &mut ChunkedOp) {
-        let n = op.live.len();
-        let write_bytes: u64 = op.pending_writes.iter().sum();
-        let ends = self.media_round(op, true);
-        let mut fanin_saved = 0u64;
-        let mut fanin_bytes = 0u64;
-        for i in 0..n {
-            let len = range_len(op.g, n, i);
-            if len > 0 && n >= 2 {
-                let before = self.pool.media.fanin_saved_bytes();
-                self.pool.media.charge_fanin(ends[op.live[i] as usize], len, n - 1);
-                fanin_saved += self.pool.media.fanin_saved_bytes() - before;
-                fanin_bytes += len;
-            }
-        }
-        op.fanin_saved = fanin_saved;
-        op.media_bytes += write_bytes + op.pending_reads.iter().sum::<u64>() + fanin_bytes;
-        let drain = self.pool.media.drained_at();
-        let per_host_done: Vec<SimTime> = op.clocks.iter().map(|&t| t.max(drain)).collect();
-        let completion = per_host_done.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        self.pool.stats.all_reduces += 1;
-        self.pool.stats.port_bytes += op.port_bytes;
-        self.pool.stats.media_bytes += op.media_bytes;
-        op.outcome = Some(CollectiveOutcome {
-            hosts: n as u64,
-            bytes_per_host: op.g,
-            start: op.start,
-            completion,
-            per_host_done,
-            port_bytes: op.port_bytes,
-            media_bytes: op.media_bytes,
-            fanin_saved_bytes: fanin_saved,
-        });
-        op.done = true;
-    }
-
-    /// One media arbitration round over the op's pending bytes
-    /// (reads or writes), mapped onto the full host-account vector.
-    fn media_round(&mut self, op: &mut ChunkedOp, writes: bool) -> Vec<SimTime> {
-        let hosts = self.pool.cfg.hosts;
-        let mut ready = vec![SimTime::ZERO; hosts];
-        let mut req = vec![0u64; hosts];
-        for (i, &hst) in op.live.iter().enumerate() {
-            ready[hst as usize] = op.clocks[i];
-            req[hst as usize] = if writes { op.pending_writes[i] } else { op.pending_reads[i] };
-        }
-        let mut ends = vec![SimTime::ZERO; hosts];
-        self.pool.media.arbitrate_round_into(&ready, &req, &mut ends);
-        if writes {
-            for p in op.pending_writes.iter_mut() {
-                *p = 0;
-            }
-        }
-        ends
-    }
-
-    /// Ladder rung 3: retirement pressure tripped the threshold — run
-    /// the whole op over the point-to-point ring, off the pool media.
-    fn run_ring_fallback(&mut self, op: &mut ChunkedOp) -> Result<bool, CollectiveError> {
-        let n = op.live.len();
-        let ring_cfg = CollectiveConfig { hosts: n, ..self.pool.cfg };
-        let mut bufs = op.inputs.clone();
-        let ready = op.clocks.clone();
-        let out = ring_all_reduce(&ring_cfg, &mut bufs, &ready)?;
-        op.result = bufs.swap_remove(0);
-        self.fstats.ring_fallbacks += 1;
-        self.pool.stats.all_reduces += 1;
-        op.outcome = Some(CollectiveOutcome {
-            hosts: n as u64,
-            bytes_per_host: op.g,
-            start: out.start,
-            completion: out.completion,
-            per_host_done: vec![out.completion; n],
-            port_bytes: out.link_bytes,
-            media_bytes: 0,
-            fanin_saved_bytes: 0,
-        });
-        op.done = true;
-        Ok(true)
-    }
-}
-
-/// Initialize live shard `i`'s accumulator from its owner's own chunk.
-fn reduce_init(inputs: &[Vec<u8>], g: usize, n: usize, i: usize) -> Vec<u8> {
-    inputs[i][shard_range(g, n, i)].to_vec()
 }
 
 #[cfg(test)]
@@ -1599,24 +1347,6 @@ mod tests {
             // 2(H−1) steps × H messages × 2 ports × G/H bytes.
             assert_eq!(out.link_bytes, 4 * (hosts as u64 - 1) * 2048);
         }
-    }
-
-    #[test]
-    fn fused_all_reduce_equals_scatter_then_gather_data() {
-        let hosts = 4;
-        let inputs = gradients(hosts, 1024, 3);
-        let cfg = CollectiveConfig::for_hosts(hosts);
-        let mut fused = inputs.clone();
-        PoolCollective::new(cfg)
-            .unwrap()
-            .all_reduce(&mut fused, &vec![SimTime::ZERO; hosts])
-            .unwrap();
-
-        let mut staged = PoolCollective::new(cfg).unwrap();
-        let ready = vec![SimTime::ZERO; hosts];
-        let (owned, rs) = staged.reduce_scatter(&inputs, &ready).unwrap();
-        let (full, _) = staged.all_gather(&owned, &rs.per_host_done).unwrap();
-        assert_eq!(fused, full);
     }
 
     #[test]
@@ -1750,23 +1480,174 @@ mod tests {
         assert_eq!(PoolCollective::restore(&back).unwrap().snapshot(), snap);
     }
 
-    /// A small chunked engine: 512-byte gradients, 64-byte chunks.
-    fn small_chunked(hosts: usize, fcfg: CollectiveFaultConfig) -> ChunkedCollective {
+    /// Two back-to-back fault-free all-reduces through one fresh engine:
+    /// the data must be the global sum, and the outcomes plus the media
+    /// arbiter's final state serialize to the returned JSON.
+    fn pinned_pair(cfg: CollectiveConfig, bytes: usize, ready: &[SimTime]) -> String {
+        let mut pool = PoolCollective::new(cfg).unwrap();
+        let inputs = gradients(cfg.hosts, bytes, 47);
+        let later: Vec<SimTime> = ready.iter().map(|&t| t + SimTime::from_us(1)).collect();
+        let mut outs = Vec::new();
+        for r in [ready, &later[..]] {
+            let mut bufs = inputs.clone();
+            outs.push(pool.all_reduce(&mut bufs, r).unwrap());
+            assert!(bufs.iter().all(|b| *b == expected_sum(&inputs)));
+        }
+        serde_json::to_string(&(outs, pool.media().snapshot())).unwrap()
+    }
+
+    /// The fused closed-form timeline off the even splits the sweeps
+    /// cover. The expected strings were recorded from the closed-form
+    /// engine; the chunk walk must reproduce them bit for bit.
+    #[test]
+    fn fault_free_timeline_is_pinned_off_the_sweep_grid() {
+        let ns = SimTime::from_ns;
+        // H=3 over 1,001 words: shards of 334, 334 and 333 words.
+        let uneven = pinned_pair(CollectiveConfig::for_hosts(3), 4004, &[ns(10), ns(250), ns(40)]);
+        assert_eq!(
+            uneven,
+            concat!(
+                r#"[[{"hosts":3,"bytes_per_host":4004,"start":250000,"completion":1104188,"#,
+                r#""per_host_done":[1104188,1104188,1103923],"port_bytes":20020,"#,
+                r#""media_bytes":16016,"fanin_saved_bytes":4004},{"hosts":3,"#,
+                r#""bytes_per_host":4004,"start":1250000,"completion":2104188,"#,
+                r#""per_host_done":[2104188,2104188,2103923],"port_bytes":20020,"#,
+                r#""media_bytes":16016,"fanin_saved_bytes":4004}],"#,
+                r#"{"bw":{"bytes_per_sec":256000000000.0},"n":3,"next_free":1812564,"rr":1,"#,
+                r#""accounts":[{"bytes":8016,"grants":4,"wait_ns":51,"busy_ns":30},{"bytes":8016,"#,
+                r#""grants":4,"wait_ns":45,"busy_ns":30},{"bytes":7992,"grants":4,"wait_ns":56,"#,
+                r#""busy_ns":30}],"rounds":4,"broadcast_grants":0,"broadcast_bytes":0,"#,
+                r#""fanout_saved_bytes":0,"fanout_deliveries":0,"fanin_grants":6,"#,
+                r#""fanin_bytes":8008,"fanin_saved_bytes":8008,"fanin_deliveries":12}]"#,
+            )
+        );
+        // 625-word shards walked in 768-byte chunks: the last chunk is short.
+        let cfg = CollectiveConfig { chunk_bytes: 768, ..CollectiveConfig::for_hosts(4) };
+        let short_chunk = pinned_pair(cfg, 10_000, &[ns(0), ns(5), ns(900), ns(5)]);
+        assert_eq!(
+            short_chunk,
+            concat!(
+                r#"[[{"hosts":4,"bytes_per_host":10000,"start":900000,"completion":2394168,"#,
+                r#""per_host_done":[2394168,2394168,2394168,2394168],"port_bytes":70000,"#,
+                r#""media_bytes":50000,"fanin_saved_bytes":20000},{"hosts":4,"#,
+                r#""bytes_per_host":10000,"start":1900000,"completion":3394168,"#,
+                r#""per_host_done":[3394168,3394168,3394168,3394168],"port_bytes":70000,"#,
+                r#""media_bytes":50000,"fanin_saved_bytes":20000}],"#,
+                r#"{"bw":{"bytes_per_sec":256000000000.0},"n":4,"next_free":2595316,"rr":0,"#,
+                r#""accounts":[{"bytes":20000,"grants":4,"wait_ns":214,"busy_ns":76},"#,
+                r#"{"bytes":20000,"grants":4,"wait_ns":193,"busy_ns":76},{"bytes":20000,"#,
+                r#""grants":4,"wait_ns":214,"busy_ns":76},{"bytes":20000,"grants":4,"#,
+                r#""wait_ns":193,"busy_ns":76}],"rounds":4,"broadcast_grants":0,"#,
+                r#""broadcast_bytes":0,"fanout_saved_bytes":0,"fanout_deliveries":0,"#,
+                r#""fanin_grants":8,"fanin_bytes":20000,"fanin_saved_bytes":40000,"#,
+                r#""fanin_deliveries":24}]"#,
+            )
+        );
+        // Eight hosts over five words: shards 5, 6 and 7 are empty.
+        let empty_shards = pinned_pair(CollectiveConfig::for_hosts(8), 20, &[ns(3); 8]);
+        assert_eq!(
+            empty_shards,
+            concat!(
+                r#"[[{"hosts":8,"bytes_per_host":20,"start":3000,"completion":505916,"#,
+                r#""per_host_done":[505916,505916,505916,505916,505916,505121,505121,505121],"#,
+                r#""port_bytes":300,"media_bytes":180,"fanin_saved_bytes":120},{"hosts":8,"#,
+                r#""bytes_per_host":20,"start":1003000,"completion":1505916,"#,
+                r#""per_host_done":[1505916,1505916,1505916,1505916,1505916,1505121,1505121,"#,
+                r#"1505121],"port_bytes":300,"media_bytes":180,"fanin_saved_bytes":120}],"#,
+                r#"{"bw":{"bytes_per_sec":256000000000.0},"n":8,"next_free":1503705,"rr":4,"#,
+                r#""accounts":[{"bytes":64,"grants":4,"wait_ns":0,"busy_ns":0},{"bytes":64,"#,
+                r#""grants":4,"wait_ns":0,"busy_ns":0},{"bytes":64,"grants":4,"wait_ns":0,"#,
+                r#""busy_ns":0},{"bytes":64,"grants":4,"wait_ns":0,"busy_ns":0},{"bytes":64,"#,
+                r#""grants":4,"wait_ns":0,"busy_ns":0},{"bytes":0,"grants":0,"wait_ns":0,"#,
+                r#""busy_ns":0},{"bytes":0,"grants":0,"wait_ns":0,"busy_ns":0},{"bytes":0,"#,
+                r#""grants":0,"wait_ns":0,"busy_ns":0}],"rounds":4,"broadcast_grants":0,"#,
+                r#""broadcast_bytes":0,"fanout_saved_bytes":0,"fanout_deliveries":0,"#,
+                r#""fanin_grants":10,"fanin_bytes":40,"fanin_saved_bytes":240,"#,
+                r#""fanin_deliveries":70}]"#,
+            )
+        );
+    }
+
+    /// A regroup from H=4 to H=3: after one four-host op the engine
+    /// quarantines host 3 and reduces over the survivors on the same
+    /// four-account media arbiter. The expected string is the fused
+    /// closed form evaluated over the three survivors.
+    #[test]
+    fn regroup_timeline_is_pinned() {
+        let ns = SimTime::from_ns;
+        let cfg = CollectiveConfig { chunk_bytes: 512, ..CollectiveConfig::for_hosts(4) };
+        let mut pool = PoolCollective::new(cfg).unwrap();
+        let inputs = gradients(4, 6000, 53);
+        let ready = [ns(20), ns(0), ns(700), ns(20)];
+        let mut bufs = inputs.clone();
+        let first = pool.all_reduce(&mut bufs, &ready).unwrap();
+        pool.quarantine_host(3);
+        let later: Vec<SimTime> = ready.iter().map(|&t| t + SimTime::from_us(2)).collect();
+        let mut bufs = inputs.clone();
+        let second = pool.all_reduce(&mut bufs, &later).unwrap();
+        assert!(bufs[..3].iter().all(|b| *b == expected_sum(&inputs[..3])));
+        assert_eq!(bufs[3], inputs[3], "a quarantined host's buffer is left alone");
+        let got = serde_json::to_string(&(vec![first, second], pool.media().snapshot())).unwrap();
+        assert_eq!(
+            got,
+            concat!(
+                r#"[[{"hosts":4,"bytes_per_host":6000,"start":700000,"completion":1796501,"#,
+                r#""per_host_done":[1796501,1796501,1796501,1796501],"port_bytes":42000,"#,
+                r#""media_bytes":30000,"fanin_saved_bytes":12000},{"hosts":3,"#,
+                r#""bytes_per_host":6000,"start":2700000,"completion":3730223,"#,
+                r#""per_host_done":[3730223,3730223,3730223],"port_bytes":30000,"#,
+                r#""media_bytes":24000,"fanin_saved_bytes":6000}],"#,
+                r#"{"bw":{"bytes_per_sec":256000000000.0},"n":4,"next_free":3293753,"rr":0,"#,
+                r#""accounts":[{"bytes":12000,"grants":4,"wait_ns":100,"busy_ns":44},"#,
+                r#"{"bytes":12000,"grants":4,"wait_ns":90,"busy_ns":44},{"bytes":12000,"#,
+                r#""grants":4,"wait_ns":104,"busy_ns":44},{"bytes":6000,"grants":2,"wait_ns":63,"#,
+                r#""busy_ns":22}],"rounds":4,"broadcast_grants":0,"broadcast_bytes":0,"#,
+                r#""fanout_saved_bytes":0,"fanout_deliveries":0,"quarantined":[false,false,false,"#,
+                r#"true],"quarantine_events":1,"fanin_grants":7,"fanin_bytes":12000,"#,
+                r#""fanin_saved_bytes":18000,"fanin_deliveries":18}]"#,
+            )
+        );
+    }
+
+    /// A small engine: 512-byte gradients walked in 64-byte chunks.
+    fn small_pool(hosts: usize, fcfg: CollectiveFaultConfig) -> PoolCollective {
         let cfg = CollectiveConfig { chunk_bytes: 64, ..CollectiveConfig::for_hosts(hosts) };
-        ChunkedCollective::new(cfg, fcfg).unwrap()
+        PoolCollective::with_faults(cfg, fcfg).unwrap()
+    }
+
+    /// Walk one op to completion; returns the reduced bytes and the
+    /// accounting.
+    fn walk(
+        pool: &mut PoolCollective,
+        inputs: &[Vec<u8>],
+        ready: &[SimTime],
+    ) -> Result<(Vec<u8>, CollectiveOutcome), CollectiveError> {
+        let mut staged = inputs.to_vec();
+        let mut op = pool.begin_all_reduce(&mut staged, ready)?;
+        while !pool.step_chunk(&mut op, None)? {}
+        let mut result = Vec::new();
+        op.copy_result_into(&mut result);
+        Ok((result, op.outcome.unwrap()))
     }
 
     #[test]
     fn chunked_zero_fault_data_matches_closed_form() {
+        // Walking the op chunk by chunk and the run-to-completion
+        // `all_reduce` are one engine: same sum, outcome and media state.
         for hosts in [2usize, 3, 4] {
             let inputs = gradients(hosts, 512, 17);
             let ready = vec![SimTime::ZERO; hosts];
-            let mut cc = small_chunked(hosts, CollectiveFaultConfig::off());
-            let (result, out) = cc.all_reduce(&inputs, &ready).unwrap();
+            let mut walked = small_pool(hosts, CollectiveFaultConfig::off());
+            let (result, out) = walk(&mut walked, &inputs, &ready).unwrap();
+            let mut whole = small_pool(hosts, CollectiveFaultConfig::off());
+            let mut bufs = inputs.clone();
+            assert_eq!(whole.all_reduce(&mut bufs, &ready).unwrap(), out, "H={hosts}");
             assert_eq!(result, expected_sum(&inputs), "H={hosts}");
+            assert!(bufs.iter().all(|b| *b == result));
+            assert_eq!(walked.snapshot(), whole.snapshot());
             assert_eq!(out.port_bytes, (2 * hosts as u64 - 1) * 512);
             assert_eq!(out.media_bytes, (hosts as u64 + 1) * 512);
-            assert_eq!(cc.fault_stats(), CollectiveFaultStats::default());
+            assert_eq!(walked.fault_stats(), CollectiveFaultStats::default());
         }
     }
 
@@ -1781,16 +1662,17 @@ mod tests {
         let ready = vec![SimTime::ZERO; hosts];
 
         // The never-failed H−1 oracle: host 3 quarantined from the start.
-        let mut oracle = small_chunked(hosts, CollectiveFaultConfig::off());
+        let mut oracle = small_pool(hosts, CollectiveFaultConfig::off());
         oracle.quarantine_host(3);
-        let (want, _) = oracle.all_reduce(&inputs, &ready).unwrap();
+        let (want, _) = walk(&mut oracle, &inputs, &ready).unwrap();
         assert_eq!(want, expected_sum(&inputs[..3]));
 
         for phase in [CollectivePhase::ReduceScatter, CollectivePhase::AllGather] {
             for chunk in 0..8u64 {
                 let kill = HostKill { host: 3, phase, chunk };
-                let mut cc = small_chunked(hosts, CollectiveFaultConfig::off());
-                let mut op = cc.begin_all_reduce(&inputs, &ready).unwrap();
+                let mut cc = small_pool(hosts, CollectiveFaultConfig::off());
+                let mut staged = inputs.clone();
+                let mut op = cc.begin_all_reduce(&mut staged, &ready).unwrap();
                 let lost = loop {
                     match cc.step_chunk(&mut op, Some(&kill)) {
                         Ok(true) => panic!("{phase:?} chunk {chunk}: kill must interrupt the op"),
@@ -1808,10 +1690,10 @@ mod tests {
                 cc.quarantine_host(lost as usize);
                 assert_eq!(cc.fault_stats().watchdog_timeouts, 1);
                 assert_eq!(cc.fault_stats().hosts_lost, 1);
-                assert!(cc.pool().media().is_quarantined(3), "arbiter account quarantined");
-                let mut regroup = cc.begin_all_reduce(&inputs, &ready).unwrap();
-                while !cc.step_chunk(&mut regroup, None).unwrap() {}
-                let (got, out) = regroup.into_result().unwrap();
+                assert!(cc.media().is_quarantined(3), "arbiter account quarantined");
+                op.release_inputs(&mut staged);
+                assert_eq!(staged, inputs, "the regroup starts from pristine inputs");
+                let (got, out) = walk(&mut cc, &staged, &ready).unwrap();
                 assert_eq!(got, want, "{phase:?} chunk {chunk}: regroup must match H−1 oracle");
                 assert_eq!(out.hosts, 3);
             }
@@ -1829,17 +1711,19 @@ mod tests {
             ..CollectiveFaultConfig::off()
         };
         let run = || {
-            let mut cc = small_chunked(hosts, fcfg);
-            let (result, out) = cc.all_reduce(&inputs, &ready).unwrap();
+            let mut cc = small_pool(hosts, fcfg);
+            let (result, out) = walk(&mut cc, &inputs, &ready).unwrap();
             (result, out, cc.fault_stats())
         };
         let (r1, o1, s1) = run();
         let (r2, o2, s2) = run();
         assert_eq!(r1, expected_sum(&inputs), "faulted chunks must be replayed, not admitted");
-        assert_eq!((r1, o1, s1), (r2, o2, s2), "seeded faults must replay identically");
+        assert_eq!((&r1, &o1, s1), (&r2, &o2, s2), "seeded faults must replay identically");
         assert!(s1.port_faults > 0 && s1.chunk_retries > 0 && s1.checksum_detects > 0);
         assert!(s1.backoff_ns > 0, "replays must cost modeled backoff");
         assert_eq!(s1.poisoned_admitted, 0, "Fletcher-16 must catch every corruption");
+        let clean = walk(&mut small_pool(hosts, CollectiveFaultConfig::off()), &inputs, &ready);
+        assert!(o1.completion > clean.unwrap().1.completion, "backoff delays the host streams");
     }
 
     #[test]
@@ -1853,9 +1737,11 @@ mod tests {
             seed: 3,
             ..CollectiveFaultConfig::off()
         };
-        let mut cc = small_chunked(hosts, fcfg);
-        let err = cc.all_reduce(&inputs, &ready).unwrap_err();
+        let mut cc = small_pool(hosts, fcfg);
+        let mut bufs = inputs.clone();
+        let err = cc.all_reduce(&mut bufs, &ready).unwrap_err();
         assert!(matches!(err, CollectiveError::RetryExhausted { attempts: 3, .. }), "got {err:?}");
+        assert_eq!(bufs, inputs, "a failed op hands the caller's buffers back untouched");
     }
 
     #[test]
@@ -1873,10 +1759,10 @@ mod tests {
             ring_fallback_retired_lines: 2,
             ..CollectiveFaultConfig::off()
         };
-        let mut cc = small_chunked(hosts, fcfg);
+        let mut cc = small_pool(hosts, fcfg);
         let mut fell_back = false;
         for _ in 0..8 {
-            let (result, _) = cc.all_reduce(&inputs, &ready).unwrap();
+            let (result, _) = walk(&mut cc, &inputs, &ready).unwrap();
             assert_eq!(result, expected_sum(&inputs), "fallback must not change the sum");
             if cc.fault_stats().ring_fallbacks > 0 {
                 fell_back = true;
@@ -1898,12 +1784,13 @@ mod tests {
             ..CollectiveFaultConfig::off()
         };
 
-        let mut golden = small_chunked(hosts, fcfg);
-        let (want, want_out) = golden.all_reduce(&inputs, &ready).unwrap();
+        let mut golden = small_pool(hosts, fcfg);
+        let (want, want_out) = walk(&mut golden, &inputs, &ready).unwrap();
 
         for cut in [1u64, 5, 9, 13] {
-            let mut cc = small_chunked(hosts, fcfg);
-            let mut op = cc.begin_all_reduce(&inputs, &ready).unwrap();
+            let mut cc = small_pool(hosts, fcfg);
+            let mut staged = inputs.clone();
+            let mut op = cc.begin_all_reduce(&mut staged, &ready).unwrap();
             for _ in 0..cut {
                 assert!(!cc.step_chunk(&mut op, None).unwrap());
             }
@@ -1911,14 +1798,16 @@ mod tests {
             let engine_json = serde_json::to_string(&cc.snapshot()).unwrap();
             let op_json = serde_json::to_string(&op).unwrap();
             drop((cc, op));
-            let snap: ChunkedCollectiveSnapshot = serde_json::from_str(&engine_json).unwrap();
-            let mut cc = ChunkedCollective::restore(&snap).unwrap();
-            let mut op: ChunkedOp = serde_json::from_str(&op_json).unwrap();
+            let snap: PoolCollectiveSnapshot = serde_json::from_str(&engine_json).unwrap();
+            let mut cc = PoolCollective::restore(&snap).unwrap();
+            let mut op: CollectiveOp = serde_json::from_str(&op_json).unwrap();
+            cc.check_op(&op).unwrap();
             while !cc.step_chunk(&mut op, None).unwrap() {}
-            let (got, out) = op.into_result().unwrap();
+            let mut got = Vec::new();
+            op.copy_result_into(&mut got);
             assert_eq!(got, want, "cut at chunk {cut}");
-            assert_eq!(out, want_out, "cut at chunk {cut}");
-            assert_eq!(cc.fault_stats(), golden.fault_stats(), "cut at chunk {cut}");
+            assert_eq!(op.outcome(), Some(&want_out), "cut at chunk {cut}");
+            assert_eq!(cc.snapshot(), golden.snapshot(), "cut at chunk {cut}");
         }
     }
 }

@@ -63,10 +63,9 @@ pub use coherence::{
     Agent, CoherenceEngine, CoherenceSnapshot, LineState, MesiState, ProtocolMode, TrafficStats,
 };
 pub use collective::{
-    ring_all_reduce, shard_range, ChunkedCollective, ChunkedCollectiveSnapshot, ChunkedOp,
-    CollectiveConfig, CollectiveError, CollectiveFaultConfig, CollectiveFaultStats,
-    CollectiveOutcome, CollectivePhase, CollectiveStats, HostKill, PoolCollective,
-    PoolCollectiveSnapshot, RingOutcome,
+    ring_all_reduce, shard_range, CollectiveConfig, CollectiveError, CollectiveFaultConfig,
+    CollectiveFaultStats, CollectiveOp, CollectiveOutcome, CollectivePhase, CollectiveStats,
+    HostKill, PoolCollective, PoolCollectiveSnapshot, RingOutcome,
 };
 pub use config::{CxlConfig, PcieGen};
 pub use controller::{

@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use teco::core::{run_cluster_uninterrupted, run_fabric_uninterrupted, TecoConfig};
+use teco::core::{run_uninterrupted, TecoConfig};
 use teco_bench::sweeps::{fabric_workload, fnv1a_hex, run_fault_workload, scaling_workload};
 use teco_cxl::{FaultConfig, RasConfig};
 use teco_testsupport::golden::assert_golden;
@@ -66,13 +66,13 @@ fn anchor_document() -> String {
     // Cluster reports, N ∈ {1, 2}, fault-free and under media RAS.
     for devices in [1usize, 2] {
         let w = scaling_workload(devices, 4);
-        let report = run_cluster_uninterrupted(&w).expect("cluster run completes").report;
+        let report = run_uninterrupted(&w).expect("cluster run completes").report;
         let json = serde_json::to_string(&report).expect("serialize report");
         let _ = writeln!(out, "cluster_n{devices}_clean: `{}`", fnv1a_hex(json.as_bytes()));
 
         let mut wf = scaling_workload(devices, 4);
         wf.cfg.base = wf.cfg.base.clone().with_ras(ras());
-        let report = run_cluster_uninterrupted(&wf).expect("faulty cluster run completes").report;
+        let report = run_uninterrupted(&wf).expect("faulty cluster run completes").report;
         let json = serde_json::to_string(&report).expect("serialize report");
         let _ = writeln!(out, "cluster_n{devices}_faulty: `{}`", fnv1a_hex(json.as_bytes()));
     }
@@ -80,13 +80,13 @@ fn anchor_document() -> String {
     // Fabric reports, H ∈ {1, 2}, fault-free and under media RAS.
     for hosts in [1usize, 2] {
         let w = fabric_workload(hosts);
-        let report = run_fabric_uninterrupted(&w).expect("fabric run completes").report;
+        let report = run_uninterrupted(&w).expect("fabric run completes").report;
         let json = serde_json::to_string(&report).expect("serialize report");
         let _ = writeln!(out, "fabric_h{hosts}_clean: `{}`", fnv1a_hex(json.as_bytes()));
 
         let mut wf = fabric_workload(hosts);
         wf.base.cfg.base = wf.base.cfg.base.clone().with_ras(ras());
-        let report = run_fabric_uninterrupted(&wf).expect("faulty fabric run completes").report;
+        let report = run_uninterrupted(&wf).expect("faulty fabric run completes").report;
         let json = serde_json::to_string(&report).expect("serialize report");
         let _ = writeln!(out, "fabric_h{hosts}_faulty: `{}`", fnv1a_hex(json.as_bytes()));
     }
