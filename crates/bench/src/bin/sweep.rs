@@ -1,8 +1,9 @@
-//! Run the experiment sweeps of [`teco_bench::sweeps::registry`]:
-//! `sweep` runs all eight, `sweep NAME...` the named ones.
+//! Run the experiments of [`teco_bench::sweeps::registry`]: `sweep` runs
+//! every paper table/figure and every extension sweep, `sweep NAME...` the
+//! named ones.
 //!
-//! Each sweep computes its rows on every core (the rows never depend on
-//! the worker count), prints the markdown table REPORT.md uses, writes
+//! Each experiment computes its rows on every core (the rows never depend
+//! on the worker count), prints its markdown table, writes
 //! `bench_results/<NAME>.json`, and reports every divergence from its
 //! gate. The process exits nonzero when any gate failed or any JSON could
 //! not be written. Everything is seeded: two runs write byte-identical
@@ -16,13 +17,13 @@ fn main() {
     let all = registry();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let selected: Vec<Entry> = if args.is_empty() {
-        all.to_vec()
+        all.clone()
     } else {
         args.iter()
             .map(|name| {
                 *all.iter().find(|e| e.name == name).unwrap_or_else(|| {
                     let known: Vec<&str> = all.iter().map(|e| e.name).collect();
-                    eprintln!("unknown sweep `{name}`; known sweeps: {}", known.join(" "));
+                    eprintln!("unknown experiment `{name}`; known: {}", known.join(" "));
                     std::process::exit(2)
                 })
             })

@@ -1,27 +1,20 @@
 //! # teco-bench — experiment harness
 //!
-//! One binary per paper table/figure (see `src/bin/`) plus Criterion
-//! micro-benchmarks (`benches/`). This library holds the shared output
-//! helpers: aligned-table printing and JSON result dumps into
+//! Every experiment behind `bench_results/*.json` — the paper's tables and
+//! figures ([`paper`]) and the extension sweeps ([`sweeps`]) — is an entry
+//! of [`sweeps::registry`], run by name through the one `sweep` binary.
+//! `generate_report` renders REPORT.md, `perf_smoke` gates the Criterion
+//! micro-benchmarks (`benches/`). This library also holds the shared
+//! output helpers: cell formatting and JSON result dumps into
 //! `bench_results/`.
 
+pub mod paper;
 pub mod report;
 pub mod sweeps;
 
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
-
-/// Print a section header for an experiment.
-pub fn header(id: &str, title: &str) {
-    println!("\n=== {id}: {title} ===");
-}
-
-/// Print one aligned table row.
-pub fn row(cells: &[String]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
-    println!("{}", line.join(" "));
-}
 
 /// Format a float cell.
 pub fn f(x: f64) -> String {

@@ -1,13 +1,15 @@
-//! The eight experiment sweeps behind `bench_results/*.json`, behind one
-//! [`Sweep`] trait and one [`registry`].
+//! Every experiment behind `bench_results/*.json`, behind one [`registry`]:
+//! the paper's tables and figures ([`crate::paper`]) and the eight extension
+//! sweeps below, each a [`Sweep`].
 //!
 //! A sweep is a grid of independent cells, one row per cell, one markdown
 //! table, and a gate ([`Sweep::divergences`]) its rows must pass. The
-//! `sweep` binary runs any of them by name, `generate_report` renders their
-//! tables into REPORT.md, and `tests/determinism.rs` pins serial against
-//! parallel execution for every registered sweep. Every cell computes its
-//! own baseline, so cells run on any worker in any order without sharing
-//! state and the rows never depend on the worker count.
+//! `sweep` binary runs any registered experiment by name,
+//! `generate_report` renders the extension sweeps' tables into REPORT.md,
+//! and `tests/determinism.rs` pins serial against parallel execution.
+//! Every cell computes its own baseline, so cells run on any worker in any
+//! order without sharing state and the rows never depend on the worker
+//! count.
 
 use serde::{Deserialize, Serialize, Value};
 use teco_core::{
@@ -69,16 +71,18 @@ pub struct Outcome {
     pub divergences: Vec<String>,
 }
 
-/// A registered sweep with its cell and row types erased.
+/// A registered experiment: a [`Sweep`] with its cell and row types
+/// erased, or a single-cell experiment's function.
 #[derive(Clone, Copy)]
 pub struct Entry {
-    /// [`Sweep::NAME`].
+    /// The stem of `bench_results/<name>.json` ([`Sweep::NAME`] for a
+    /// sweep).
     pub name: &'static str,
     /// Compute every row on the given number of workers.
     pub run: fn(workers: usize) -> Outcome,
 }
 
-fn entry<S: Sweep>() -> Entry {
+pub(crate) fn entry<S: Sweep>() -> Entry {
     Entry {
         name: S::NAME,
         run: |workers| {
@@ -92,9 +96,11 @@ fn entry<S: Sweep>() -> Entry {
     }
 }
 
-/// Every sweep, in the order the `sweep` binary runs them.
-pub fn registry() -> [Entry; 8] {
-    [
+/// Every experiment, in the order the `sweep` binary runs them: the
+/// paper's, then the extension sweeps.
+pub fn registry() -> Vec<Entry> {
+    let mut all = crate::paper::entries().to_vec();
+    all.extend([
         entry::<FaultSweep>(),
         entry::<ScalingSweep>(),
         entry::<DatapathSweep>(),
@@ -103,12 +109,14 @@ pub fn registry() -> [Entry; 8] {
         entry::<FabricChaosSweep>(),
         entry::<PlacementSweep>(),
         entry::<SoakResume>(),
-    ]
+    ]);
+    all
 }
 
-/// A sweep's markdown section: `## title`, one table (or "No `noun` points
-/// recorded." when there are no rows), then `note` when it is non-empty.
-fn md_section(
+/// An experiment's markdown section: `## title`, one table (or "No `noun`
+/// points recorded." when there are no rows), then `note` when it is
+/// non-empty.
+pub(crate) fn md_section(
     title: &str,
     noun: &str,
     header: &[&str],
@@ -2026,8 +2034,9 @@ mod tests {
         assert_eq!(scaling[3], ScalingCell { devices: 2, batch: 4 });
         assert_eq!(SoakResume::grid().len(), 27);
         let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), 32, "24 paper experiments, then the eight sweeps");
         assert_eq!(
-            names,
+            names[24..],
             [
                 "fault_sweep",
                 "scaling_sweep",

@@ -735,11 +735,24 @@ impl ClusterSession {
 
     /// Rebuild a cluster from a captured state; every subsequent push,
     /// fence, arbitration round, and report is bit-identical to the
-    /// original's.
+    /// original's. A snapshot whose per-device vectors do not all hold
+    /// one entry per configured device is a [`SessionError::Config`].
     pub fn from_snapshot(s: &ClusterSnapshot) -> Result<Self, SessionError> {
         s.cfg.validate().map_err(SessionError::Config)?;
-        let n = s.devices.len();
-        assert_eq!(n, s.cfg.devices, "snapshot device count must match its config");
+        let n = s.cfg.devices;
+        let lens = [
+            ("devices", s.devices.len()),
+            ("now_ps", s.now_ps.len()),
+            ("host_seen", s.host_seen.len()),
+            ("bcast_seen", s.bcast_seen.len()),
+            ("alive", s.alive.len()),
+            ("detected_down", s.detected_down.len()),
+        ];
+        if let Some((field, len)) = lens.into_iter().find(|&(_, len)| len != n) {
+            return Err(SessionError::Config(format!(
+                "cluster snapshot: {field} has {len} entries for {n} devices"
+            )));
+        }
         let devices =
             s.devices.iter().map(TecoSession::from_snapshot).collect::<Result<Vec<_>, _>>()?;
         Ok(ClusterSession {
@@ -1310,6 +1323,44 @@ mod tests {
                     assert_eq!(json, base_json, "N={devices} kill at {kill:?} diverged");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn snapshot_with_a_short_per_device_vector_is_a_config_error() {
+        let w = ClusterWorkload::small(2, 5);
+        let mut cluster = ClusterSession::new(w.cfg.clone()).unwrap();
+        cluster.alloc_params(w.param_lines).unwrap();
+        cluster.alloc_grads(w.grad_lines).unwrap();
+        let snap = cluster.snapshot();
+        assert!(ClusterSession::from_snapshot(&snap).is_ok());
+        let truncations: [fn(&mut ClusterSnapshot); 6] = [
+            |s| {
+                s.devices.pop();
+            },
+            |s| {
+                s.now_ps.pop();
+            },
+            |s| {
+                s.host_seen.pop();
+            },
+            |s| {
+                s.bcast_seen.pop();
+            },
+            |s| {
+                s.alive.pop();
+            },
+            |s| {
+                s.detected_down.pop();
+            },
+        ];
+        for (i, truncate) in truncations.iter().enumerate() {
+            let mut bad = snap.clone();
+            truncate(&mut bad);
+            assert!(
+                matches!(ClusterSession::from_snapshot(&bad), Err(SessionError::Config(_))),
+                "truncation {i} must be a config error"
+            );
         }
     }
 

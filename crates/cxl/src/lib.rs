@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! # teco-cxl — the CXL interconnect with TECO's extensions
 //!
 //! This crate implements the hardware side of the paper's contribution:
