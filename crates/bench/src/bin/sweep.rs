@@ -17,7 +17,7 @@ fn main() {
     let all = registry();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let selected: Vec<Entry> = if args.is_empty() {
-        all.clone()
+        all
     } else {
         args.iter()
             .map(|name| {

@@ -1,14 +1,14 @@
 //! # teco-bench — experiment harness
 //!
 //! Every experiment behind `bench_results/*.json` — the paper's tables and
-//! figures ([`paper`]) and the extension sweeps ([`sweeps`]) — is an entry
-//! of [`sweeps::registry`], run by name through the one `sweep` binary.
+//! figures (`paper`) and the extension sweeps ([`sweeps`]) — is an entry of
+//! [`sweeps::registry`], run by name through the one `sweep` binary.
 //! `generate_report` renders REPORT.md, `perf_smoke` gates the Criterion
 //! micro-benchmarks (`benches/`). This library also holds the shared
 //! output helpers: cell formatting and JSON result dumps into
 //! `bench_results/`.
 
-pub mod paper;
+mod paper;
 pub mod report;
 pub mod sweeps;
 

@@ -1,5 +1,5 @@
 //! Every experiment behind `bench_results/*.json`, behind one [`registry`]:
-//! the paper's tables and figures ([`crate::paper`]) and the eight extension
+//! the paper's tables and figures (`paper.rs`) and the eight extension
 //! sweeps below, each a [`Sweep`].
 //!
 //! A sweep is a grid of independent cells, one row per cell, one markdown
